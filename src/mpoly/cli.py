@@ -64,35 +64,25 @@ def _read_text(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_matrix(path: str, backing: str | None) -> Matrix:
+def _load_matrices(
+    path: str, backing: str | None, single: bool = False
+) -> list[Matrix]:
+    """The matrices of a family file, or of a one-matrix file when `single`.
+
+    --float converts every entry to float64. --exact reads every entry as
+    the rational its text denotes, so 2.0 becomes 2 and 0.1 becomes 1/10.
+    """
     text = _read_text(path)
     try:
-        matrix = Matrix.loads(text)
-    except (DomainError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-    if backing == "float":
-        return matrix.to_float()
-    if backing == "exact" and not matrix.is_exact:
-        try:
-            return Matrix.exact(matrix.rows())
-        except DomainError as exc:
-            raise _InputError(f"{path}: cannot reinterpret as exact: {exc}") from exc
-    return matrix
-
-
-def _load_matrices(path: str, backing: str | None) -> list[Matrix]:
-    text = _read_text(path)
-    try:
-        mats = matrices_from_json(text)
+        mats = [Matrix.loads(text)] if single else matrices_from_json(text)
+        if backing == "exact":
+            payload = json.loads(text, parse_float=Fraction)
+            objs = [payload] if single else payload
+            mats = [Matrix.exact(obj["entries"]) for obj in objs]
     except (DomainError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
     if backing == "float":
         mats = [m.to_float() for m in mats]
-    elif backing == "exact":
-        try:
-            mats = [m if m.is_exact else Matrix.exact(m.rows()) for m in mats]
-        except DomainError as exc:
-            raise _InputError(f"{path}: cannot reinterpret as exact: {exc}") from exc
     return mats
 
 
@@ -135,7 +125,7 @@ def _parse_weights(spec: str, count: int) -> SimplexPoint:
 
 
 def cmd_certify(args) -> int:
-    matrix = _load_matrix(args.matrix, args.backing)
+    (matrix,) = _load_matrices(args.matrix, args.backing, single=True)
     report = certify(matrix)
     payload = report.to_json_dict()
     lines = [

@@ -29,6 +29,10 @@ from .errors import DimensionMismatch, DomainError, NoConvergence, SingularBlock
 # Fixed slack for off-diagonal sign checks in float backing (independent of
 # the global tolerance: Z-structure is a structural property, not a margin).
 Z_SLACK = 1e-12
+# Largest bound on a row of |L||U|, relative to that row's largest input
+# entry, for which the batched unpivoted minors are kept: their error
+# relative to Hadamard's bound is then at most about n^2 * eps * 64.
+MAX_LU_GROWTH = 64.0
 
 
 class Backing(enum.Enum):
@@ -404,6 +408,40 @@ def leading_principal_minors(m: Matrix) -> list:
         return _leading_minors_exact(m.rows())
     arr = m.as_array()
     return [float(np.linalg.det(arr[:k, :k])) for k in range(1, m.n + 1)]
+
+
+def leading_minors_batch(stack: np.ndarray) -> np.ndarray:
+    """Leading principal minors of every matrix in a (count, n, n) float stack.
+
+    One unpivoted LU elimination runs over the whole stack, and minor i is
+    the product of the first i pivots. Without pivoting that is accurate only
+    while |L||U| stays near |A|, so a matrix in which some row of |L||U|
+    may exceed MAX_LU_GROWTH times that row's largest entry (including any
+    zero or non-finite pivot) has its minors recomputed with one
+    ``np.linalg.det`` call per order.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    n = stack.shape[-1]
+    # the batch on the last axis keeps every numpy loop long and contiguous
+    lu = np.moveaxis(stack, 0, -1).copy()
+    row_max = np.abs(lu).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(n - 1):
+            lu[i + 1 :, i] /= lu[i, i]
+            lu[i + 1 :, i + 1 :] -= lu[i + 1 :, i, None] * lu[i, None, i + 1 :]
+        minors = np.cumprod(lu[range(n), range(n)], axis=0).T
+        # row r of |L||U| is at most sum_k |l_rk| max_c |u_kc|
+        size = np.abs(lu)
+        lower = np.tri(n, k=-1, dtype=bool)[:, :, None]
+        u_max = np.where(lower, 0.0, size).max(axis=1)
+        bound = u_max + (np.where(lower, size, 0.0) * u_max).sum(axis=1)
+        stable = bound <= MAX_LU_GROWTH * row_max
+    bad = np.flatnonzero(~stable.all(axis=0))
+    if bad.size:
+        minors[bad] = np.stack(
+            [np.linalg.det(stack[bad, :i, :i]) for i in range(1, n + 1)], axis=1
+        )
+    return minors
 
 
 def schur_complement(m: Matrix, k: int) -> Matrix:

@@ -5,9 +5,10 @@ Four entry points:
 * :func:`search_general` hunts for a convex combination that is a
   nonsingular M-matrix by multi-start projected ascent on the smallest
   leading principal minor (an exact M-matrix margin that needs no
-  eigensolves), plus a coarse simplex grid for small families. It returns
-  FEASIBLE only with a re-certified witness and otherwise UNKNOWN, never
-  INFEASIBLE: absence of a found point proves nothing for this problem.
+  eigensolves), plus a coarse simplex grid for small families. All starts
+  advance together, so a round costs a fixed few batched numpy calls. It
+  returns FEASIBLE only with a re-certified witness and otherwise UNKNOWN,
+  never INFEASIBLE: absence of a found point proves nothing for this problem.
 * :func:`search_symmetric` solves the symmetric case, which is concave:
   maximize the smallest eigenvalue over the simplex cut by the linear
   Z-sign constraints, using a cutting-plane scheme whose LP value is a
@@ -18,8 +19,11 @@ Four entry points:
 * :func:`hurwitz_search` descends on the spectral abscissa and certifies
   Hurwitz witnesses by re-computing eigenvalues.
 
-All searches are deterministic for a fixed seed; restarts merge by best
-merit with ties to the earliest start.
+All searches are deterministic for a fixed seed. The general search moves
+its starts in lockstep rounds and, of the starts that cross the tolerance
+in one round, re-certifies the lowest start index first; it admits to a
+round only the starts whose evaluations fit in the budget left. The
+spectral descents keep the best value found, ties to the earliest start.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from scipy.optimize import linprog
 
 from . import config
 from .errors import DimensionMismatch, DomainError, NotSymmetric
-from .linalg import Matrix, Z_SLACK
+from .linalg import Matrix, Z_SLACK, leading_minors_batch
 from .mmatrix import CONSENSUS_YES, certify
 from .reduction import convex_combination
 from .simplex import (
     SimplexPoint,
+    project_rows_to_simplex,
     project_to_simplex,
     rationalize,
     sample_simplex_rows,
@@ -52,6 +57,8 @@ ITERS_PER_START = 60
 MERIT_FD_STEP = 1e-6
 SPECTRAL_FD_STEP = 1e-7
 EIG_GAP = 1e-8
+# the four line-search steps of one round, as fractions of a start's step
+LINE_SEARCH_SCALES = 0.25 ** np.arange(4)
 
 
 class SearchStatus(enum.Enum):
@@ -134,109 +141,98 @@ def search_general(
 ) -> SearchOutcome:
     """Heuristic feasibility search for an M-matrix convex combination.
 
-    Merit is the smallest leading principal minor of the combination; every
-    candidate with positive merit is independently re-certified (in exact
-    arithmetic when the inputs are rational) before FEASIBLE is reported.
+    Merit is the smallest leading principal minor of the combination. The
+    vertices, then (for k <= 4) the 1/8 grid, are each evaluated as one
+    batch. Then up to 24 starts (the uniform point, then Dirichlet draws
+    from ``default_rng(seed)``) ascend in lockstep rounds: one batch of
+    forward-difference probes and one of four projected line-search steps
+    per round, of which each start takes the first that improves its merit
+    and stops when none does or a step no longer moves. Every candidate
+    with merit above the tolerance is independently re-certified (in exact
+    arithmetic when the inputs are rational) before FEASIBLE is reported,
+    lowest start index first within a round. Each batch is cut to the
+    budget left, at one evaluation per point and k + 4 per start and
+    round, so ``budget_spent <= budget``.
     """
     mats = list(matrices)
-    dim = _validate_family(mats)
+    _validate_family(mats)
     k = len(mats)
     exact_inputs = all(m.is_exact for m in mats)
     stack = np.stack([m.as_array() for m in mats])
     tol = config.tolerance()
     tracker = _Tracker(budget)
 
-    def merit_batch(points: np.ndarray) -> np.ndarray:
+    def merit(points: np.ndarray) -> np.ndarray:
         combos = np.tensordot(points, stack, axes=(1, 0))
-        vals = np.full(points.shape[0], np.inf)
-        for i in range(1, dim + 1):
-            vals = np.minimum(vals, np.linalg.det(combos[:, :i, :i]))
-        tracker.record(points.shape[0], float(vals.max()))
+        vals = leading_minors_batch(combos).min(axis=1)
+        tracker.record(len(points), float(vals.max(initial=-math.inf)))
         return vals
-
-    def merit(w: np.ndarray) -> float:
-        return float(merit_batch(w[None, :])[0])
 
     def finish(status, cert=None, margins=None) -> SearchOutcome:
         return SearchOutcome(
             status, cert, tuple(tracker.trace), tracker.spent, margins
         )
 
-    def verified(point: SimplexPoint) -> SearchOutcome | None:
-        combo = convex_combination(mats, point)
-        report = certify(combo)
-        if report.is_z and report.consensus == CONSENSUS_YES:
-            return finish(SearchStatus.FEASIBLE, point, dict(report.margins))
+    def verified(points) -> SearchOutcome | None:
+        for point in points:
+            report = certify(convex_combination(mats, point))
+            if report.is_z and report.consensus == CONSENSUS_YES:
+                return finish(SearchStatus.FEASIBLE, point, dict(report.margins))
         return None
 
-    def attempt(w: np.ndarray) -> SearchOutcome | None:
-        point = rationalize(w) if exact_inputs else SimplexPoint.from_floats(w)
-        return verified(point)
-
-    # vertex pass: each input matrix alone
-    for i in range(k):
-        if not tracker.room():
-            return finish(SearchStatus.UNKNOWN)
-        w = np.zeros(k)
-        w[i] = 1.0
-        if merit(w) > tol:
-            point = SimplexPoint.vertex(k, i) if exact_inputs else SimplexPoint.from_floats(w)
-            res = verified(point)
-            if res is not None:
-                return res
-
-    # coarse grid pass, resolution 1/8, only affordable for small families
+    # vertex pass, then a coarse 1/8 grid pass for small families
+    passes = [[tuple(GRID_DENOM * (i == c) for c in range(k)) for i in range(k)]]
     if k <= GRID_MAX_K:
-        for comp in _compositions(GRID_DENOM, k):
-            if not tracker.room():
-                return finish(SearchStatus.UNKNOWN)
-            w = np.array(comp, dtype=np.float64) / GRID_DENOM
-            if merit(w) > tol:
-                if exact_inputs:
-                    point = SimplexPoint(
-                        tuple(Fraction(c, GRID_DENOM) for c in comp)
-                    )
-                else:
-                    point = SimplexPoint.from_floats(w)
-                res = verified(point)
-                if res is not None:
-                    return res
+        passes.append(list(_compositions(GRID_DENOM, k)))
+    for comps in passes:
+        comps = comps[: budget - tracker.spent]
+        weights = np.array(comps, dtype=np.float64).reshape(-1, k) / GRID_DENOM
+        passing = np.flatnonzero(merit(weights) > tol)
+        res = verified(
+            SimplexPoint(tuple(Fraction(c, GRID_DENOM) for c in comps[i]))
+            if exact_inputs
+            else SimplexPoint.from_floats(weights[i])
+            for i in passing
+        )
+        if res is not None:
+            return res
 
-    # multi-start projected first-order ascent
+    # multi-start projected first-order ascent, all live starts in lockstep
     rng = np.random.default_rng(seed)
+    w = np.vstack([np.full(k, 1.0 / k), sample_simplex_rows(rng, MAX_STARTS - 1, k)])
+    w = w[: budget - tracker.spent]
+    fv = merit(w)
+    step = np.full(len(w), 0.25)
     eye = np.eye(k)
-    for start in range(MAX_STARTS):
-        if not tracker.room(k + 2):
-            break
-        if start == 0:
-            w = np.full(k, 1.0 / k)
-        else:
-            w = sample_simplex_rows(rng, 1, k)[0]
-        fv = merit(w)
-        step = 0.25
-        while True:
-            if fv > tol or not tracker.room(k + 4):
-                break
-            grads = (merit_batch(w[None, :] + MERIT_FD_STEP * eye) - fv) / MERIT_FD_STEP
-            improved = False
-            for _ in range(4):
-                cand = project_to_simplex(w + step * grads)
-                if np.abs(cand - w).max() < 1e-14:
-                    break
-                fc = merit(cand)
-                if fc > fv + 1e-15:
-                    w, fv = cand, fc
-                    step = min(step * 1.6, 1.0)
-                    improved = True
-                    break
-                step *= 0.25
-            if not improved:
-                break
-        if fv > tol:
-            res = attempt(w)
-            if res is not None:
-                return res
-    return finish(SearchStatus.UNKNOWN)
+    moved_to = np.arange(len(w))
+    while True:
+        crossed = moved_to[fv[moved_to] > tol]
+        res = verified(
+            rationalize(w[s]) if exact_inputs else SimplexPoint.from_floats(w[s])
+            for s in crossed
+        )
+        if res is not None:
+            return res
+        live = moved_to[fv[moved_to] <= tol][: (budget - tracker.spent) // (k + 4)]
+        if not live.size:
+            return finish(SearchStatus.UNKNOWN)
+        x, fx = w[live], fv[live]
+        probes = (x[:, None, :] + MERIT_FD_STEP * eye).reshape(-1, k)
+        grads = (merit(probes).reshape(-1, k) - fx[:, None]) / MERIT_FD_STEP
+        steps = step[live, None] * LINE_SEARCH_SCALES
+        cands = project_rows_to_simplex(
+            (x[:, None, :] + steps[:, :, None] * grads[:, None, :]).reshape(-1, k)
+        ).reshape(len(live), -1, k)
+        fc = merit(cands.reshape(-1, k)).reshape(len(live), -1)
+        # a step is tried only after every earlier one moved and failed
+        tried = np.cumprod(np.abs(cands - x[:, None, :]).max(axis=2) >= 1e-14, axis=1)
+        better = tried.astype(bool) & (fc > fx[:, None] + 1e-15)
+        took = better.any(axis=1)
+        first = better.argmax(axis=1)[took]
+        moved_to = live[took]
+        w[moved_to] = cands[took, first]
+        fv[moved_to] = fc[took, first]
+        step[moved_to] = np.minimum(steps[took, first] * 1.6, 1.0)
 
 
 # -- symmetric convex path ----------------------------------------------------
@@ -381,11 +377,6 @@ def search_symmetric(
 # -- spectral-objective descent (shared by radius and abscissa searches) ------
 
 
-def _eig_info(b: np.ndarray):
-    vals, vecs = np.linalg.eig(b)
-    return vals, vecs
-
-
 def _left_right_derivative(
     stack: np.ndarray, b: np.ndarray, lam: complex, v: np.ndarray
 ) -> np.ndarray | None:
@@ -404,7 +395,7 @@ def _left_right_derivative(
 def _radius_gradient(stack: np.ndarray, b: np.ndarray):
     """(rho, gradient or None); gradient only when the radius is attained by
     a single, real, well-separated eigenvalue (the Perron case)."""
-    vals, vecs = _eig_info(b)
+    vals, vecs = np.linalg.eig(b)
     idx = int(np.argmax(np.abs(vals)))
     lam = vals[idx]
     rho = float(abs(lam))
@@ -419,7 +410,7 @@ def _radius_gradient(stack: np.ndarray, b: np.ndarray):
 
 def _abscissa_gradient(stack: np.ndarray, b: np.ndarray):
     """(abscissa, gradient or None); a conjugate pair at the top is fine."""
-    vals, vecs = _eig_info(b)
+    vals, vecs = np.linalg.eig(b)
     idx = int(np.argmax(vals.real))
     lam = vals[idx]
     absc = float(lam.real)

@@ -17,6 +17,9 @@ C5_TEXT = "c five cycle\np edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
 K3_TEXT = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 MMATRIX_JSON = '{"n":2,"entries":[["2","-1"],["-1","2"]],"exact":true}\n'
 NOT_MMATRIX_JSON = '{"n":2,"entries":[["1","-2"],["-2","1"]],"exact":true}\n'
+FLOAT_MMATRIX_JSON = '{"n":2,"entries":[[2.0,-1.0],[-1.0,2.0]],"exact":false}\n'
+# singular over the rationals (0.1 * 0.9 = 0.3 * 0.3), not in float64
+DECIMAL_SINGULAR_JSON = '{"n":2,"entries":[[0.1,-0.3],[-0.3,0.9]],"exact":false}\n'
 
 
 def mpoly_cmd(*args, env_extra=None):
@@ -66,6 +69,29 @@ class TestCertifyCommand:
     def test_missing_file_exit_65(self, workspace):
         res = mpoly_cmd("certify", str(workspace / "nope.json"))
         assert res.returncode == 65
+
+    def test_exact_flag_reads_float_file_as_rationals(self, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text(FLOAT_MMATRIX_JSON)
+        res = mpoly_cmd("certify", str(path), "--exact", "--json")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["consensus"] == "YES"
+
+    def test_exact_flag_reads_decimals_as_written(self, tmp_path):
+        path = tmp_path / "decimal.json"
+        path.write_text(DECIMAL_SINGULAR_JSON)
+        as_float = json.loads(mpoly_cmd("certify", str(path), "--json").stdout)
+        as_exact = json.loads(
+            mpoly_cmd("certify", str(path), "--exact", "--json").stdout
+        )
+        assert as_float["verdicts"]["E17"]["status"] == "MARGINAL"
+        assert as_exact["verdicts"]["E17"]["status"] == "NO"
+        assert as_exact["verdicts"]["N38"]["status"] == "NO"
+
+    def test_exact_flag_non_finite_entry_exit_65(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n":1,"entries":[[NaN]],"exact":false}')
+        assert mpoly_cmd("certify", str(path), "--exact").returncode == 65
 
 
 class TestReduceCommand:
@@ -165,6 +191,18 @@ class TestSearchCommands:
         res = mpoly_cmd("search", str(inst), "--json", "--budget", "3000")
         assert res.returncode == 2
         assert json.loads(res.stdout)["status"] == "UNKNOWN"
+
+    def test_search_exact_flag_gives_exact_certificate(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(
+            "[" + FLOAT_MMATRIX_JSON.strip() + ","
+            '{"n":2,"entries":[[-1.0,0.5],[0.5,-1.0]],"exact":false}]'
+        )
+        res = mpoly_cmd("search", str(path), "--exact", "--json")
+        assert res.returncode == 0
+        payload = json.loads(res.stdout)
+        assert payload["status"] == "FEASIBLE"
+        assert payload["certificate"] == ["1", "0"]
 
     def test_symmetric_infeasible_exit_one(self, tmp_path):
         mats = (

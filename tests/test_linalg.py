@@ -4,13 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mpoly import (
     Backing,
     DimensionMismatch,
     DomainError,
+    Graph,
     Matrix,
     SingularBlock,
+    build_instance,
     collatz_wielandt_ratio,
     det,
     eigenvalues,
@@ -19,8 +24,7 @@ from mpoly import (
     schur_complement,
     spectral_radius,
 )
-from mpoly.linalg import matrices_from_json, matrices_to_json
-
+from mpoly.linalg import leading_minors_batch, matrices_from_json, matrices_to_json
 
 
 def exact(rows):
@@ -159,6 +163,80 @@ class TestLeadingPrincipalMinors:
     def test_float_minors(self):
         minors = leading_principal_minors(fl([[2, -1], [-1, 2]]))
         assert minors == pytest.approx([2.0, 3.0], rel=1e-10)
+
+
+def per_minor_dets(stack: np.ndarray) -> np.ndarray:
+    """The reference: one np.linalg.det call per leading order."""
+    n = stack.shape[-1]
+    dets = [np.linalg.det(stack[:, :k, :k]) for k in range(1, n + 1)]
+    return np.stack(dets, axis=1)
+
+
+def hadamard_scales(stack: np.ndarray) -> np.ndarray:
+    """Hadamard's bound on each leading minor: the product of its row norms."""
+    n = stack.shape[-1]
+    norms = [np.linalg.norm(stack[:, :k, :k], axis=2) for k in range(1, n + 1)]
+    return np.stack([row_norms.prod(axis=1) for row_norms in norms], axis=1)
+
+
+# multiples of 1/8 cancel exactly (zero pivots) or to within rounding (pivot
+# growth) far more often than arbitrary floats do
+ENTRIES = st.one_of(
+    st.integers(-24, 24).map(lambda v: v / 8),
+    st.floats(-8, 8).filter(lambda x: x == 0 or abs(x) > 1e-3),
+)
+FLOAT_STACKS = st.tuples(st.integers(1, 4), st.integers(1, 7)).flatmap(
+    lambda cn: arrays(np.float64, (cn[0], cn[1], cn[1]), elements=ENTRIES)
+)
+
+# the third pivot cancels to rounding noise, and the pivots after it grow
+GROWING_PIVOTS = np.array(
+    [
+        [
+            [-3.0, -1.0, 0.0, 0.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0, 0.0],
+            [-2.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0, 0.0],
+        ]
+    ]
+)
+
+
+@st.composite
+def gadget_combinations(draw):
+    """Float combinations of a random gadget family, as the search forms them."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    inst = build_instance(Graph.from_edges(n, edges), draw(st.integers(1, n)))
+    family = np.stack([g.as_array() for g in inst.gadgets])
+    weights = draw(arrays(np.float64, (3, n), elements=st.integers(0, 9).map(float)))
+    weights[:, 0] += 1.0
+    return np.tensordot(weights / weights.sum(axis=1, keepdims=True), family, axes=1)
+
+
+class TestLeadingMinorsBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(FLOAT_STACKS, gadget_combinations()))
+    @example(np.array([[[0.0, 1.0], [1.0, 0.0]]]))  # singular leading block
+    @example(np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]]))
+    @example(GROWING_PIVOTS)
+    @example(np.array([[[1.0, 2.0], [-3.0, 5.0]]]))  # not a Z-matrix
+    def test_matches_per_minor_det(self, stack):
+        got = leading_minors_batch(stack)
+        err = np.abs(got - per_minor_dets(stack))
+        assert (err <= 1e-12 * hadamard_scales(stack)).all()
+
+    def test_zero_pivot_midway(self):
+        # the second pivot is exactly zero, so the third order needs det
+        stack = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]])
+        assert leading_minors_batch(stack).tolist() == [[1.0, 0.0, -1.0]]
+
+    def test_singular_leading_block(self):
+        stack = np.array([[[0.0, 1.0], [1.0, 0.0]], [[2.0, -1.0], [-1.0, 2.0]]])
+        minors = leading_minors_batch(stack)
+        assert minors.ravel() == pytest.approx([0.0, -1.0, 2.0, 3.0])
 
 
 class TestSchurComplement:

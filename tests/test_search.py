@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import mpoly.search
 from mpoly import (
     DimensionMismatch,
     DomainError,
+    Graph,
     Matrix,
     NotSymmetric,
     SearchStatus,
@@ -23,6 +25,7 @@ from mpoly import (
     search_symmetric,
     spectral_radius,
 )
+from mpoly.simplex import rationalize
 
 import corpus
 
@@ -124,6 +127,49 @@ class TestSearchGeneral:
         assert a.status == b.status
         assert a.budget_spent == b.budget_spent
         assert a.objective_trace == b.objective_trace
+
+    def test_budget_never_overspent(self):
+        # k = 5: a vertex pass of 5 points, 24 start points, then rounds of
+        # 24 * (k + 4) evaluations; alpha = 2 <= j, so the search never stops early
+        inst = build_instance(corpus.cycle(5), 2)
+        for budget in range(1, 5 + 24 + 3 * 24 * 9 + 1):
+            out = search_general(inst.gadgets, budget=budget, seed=0)
+            assert out.status is SearchStatus.UNKNOWN
+            assert out.budget_spent <= budget
+
+    def test_exact_inputs_give_exact_certificate(self):
+        # alpha = 4 > j = 3; no vertex and no start point is feasible, so the
+        # certificate comes out of an ascent round
+        g = corpus.petersen()
+        inst = build_instance(g, 3)
+        out = search_general(inst.gadgets, seed=0)
+        assert out.status is SearchStatus.FEASIBLE
+        assert out.budget_spent > 10 + 24
+        assert out.certificate.is_exact
+        assert det_closed_form(g, 3, out.certificate) > 0
+        floats = search_general([m.to_float() for m in inst.gadgets], seed=0)
+        assert floats.status is SearchStatus.FEASIBLE
+        assert not floats.certificate.is_exact
+
+    def test_lowest_start_wins_a_round(self, monkeypatch):
+        # path on 5 vertices, j = 2 < alpha = 3: vertices and the uniform
+        # start are infeasible; starts 2 and 4 are both feasible at once, and
+        # start 4 has the better merit (the independent set's own point)
+        path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        inst = build_instance(path, 2)
+        uniform = np.full(5, 0.2)
+        low = np.array([0.3, 0.05, 0.3, 0.05, 0.3])
+        high = np.array([1, 0, 1, 0, 1]) / 3
+        rows = np.array([uniform] * 23)
+        rows[1], rows[3] = low, high
+        monkeypatch.setattr(
+            mpoly.search, "sample_simplex_rows", lambda rng, count, k: rows[:count]
+        )
+        closed = [det_closed_form(path, 2, rationalize(w)) for w in (low, high)]
+        assert 0 < closed[0] < closed[1]
+        out = search_general(inst.gadgets, seed=0)
+        assert out.certificate == rationalize(low)
+        assert out.budget_spent == 5 + 24
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionMismatch):
