@@ -1,12 +1,14 @@
 """Dense square-matrix primitives with dual numeric backing.
 
 A :class:`Matrix` carries either float64 entries (numpy-backed) or exact
-rationals (:class:`fractions.Fraction`). Determinants, leading principal
-minors and Schur complements run in both backings; eigenvalue-based
-quantities are float only. The exact path uses fraction-free (Bareiss)
-elimination over scaled integers, so sign decisions at the determinant
-boundary are unambiguous; float decisions near a boundary are reported as
-MARGINAL instead.
+rationals, stored as integer numerators over one positive common
+denominator in lowest terms; entries are handed out as
+:class:`fractions.Fraction`. Determinants, leading principal minors and
+Schur complements run in both backings; eigenvalue-based quantities are
+float only. The exact path runs fraction-free (Bareiss) elimination on the
+numerators themselves, so sign decisions at the determinant boundary are
+unambiguous; float decisions near a boundary are reported as MARGINAL
+instead.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from multiple threads.
@@ -17,8 +19,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -57,9 +61,16 @@ def _as_fraction(value) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense square matrix in one of two numeric backings."""
+    """Immutable dense square matrix in one of two numeric backings.
 
-    __slots__ = ("n", "backing", "_rows", "_array")
+    An exact matrix stores a grid of integer numerators ``_num`` over one
+    positive common denominator ``_den``, so entry (i, j) is
+    ``_num[i][j] / _den``. The grid is kept in lowest terms (the gcd of
+    ``_den`` and every numerator is 1), so equal matrices have equal storage.
+    A float matrix stores a read-only float64 array.
+    """
+
+    __slots__ = ("n", "backing", "_num", "_den", "_array")
 
     def __init__(self, rows, backing: Backing):
         rows = tuple(tuple(r) for r in rows)
@@ -71,15 +82,45 @@ class Matrix:
         self.n = n
         self.backing = backing
         if backing is Backing.EXACT_RATIONAL:
-            self._rows = tuple(tuple(_as_fraction(x) for x in r) for r in rows)
+            fracs = [[_as_fraction(x) for x in r] for r in rows]
+            # over the lcm of reduced denominators the grid is in lowest terms
+            den = math.lcm(*(x.denominator for r in fracs for x in r))
+            self._num = tuple(
+                tuple(x.numerator * (den // x.denominator) for x in r) for r in fracs
+            )
+            self._den = den
             self._array = None
         else:
             arr = np.array(rows, dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise DomainError("float matrix entries must be finite")
             arr.flags.writeable = False
-            self._rows = None
+            self._num = self._den = None
             self._array = arr
+
+    @classmethod
+    def _from_numerators(cls, num, den: int, reduced: bool = False) -> "Matrix":
+        """Exact matrix with entries num[i][j] / den, from a trusted square
+        integer grid and a nonzero integer den, brought to lowest terms.
+
+        ``reduced=True`` skips that step: the caller guarantees den > 0 and
+        gcd(den, all numerators) = 1.
+        """
+        if not reduced:
+            if den < 0:
+                num = [[-x for x in r] for r in num]
+                den = -den
+            g = math.gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = [[x // g for x in r] for r in num]
+                den //= g
+        m = object.__new__(cls)
+        m.n = len(num)
+        m.backing = Backing.EXACT_RATIONAL
+        m._num = tuple(tuple(r) for r in num)
+        m._den = den
+        m._array = None
+        return m
 
     @classmethod
     def exact(cls, rows) -> "Matrix":
@@ -103,45 +144,56 @@ class Matrix:
     def rows(self):
         """Entries as a tuple of row tuples (Fraction or float)."""
         if self.is_exact:
-            return self._rows
+            den = self._den
+            return tuple(tuple(Fraction(x, den) for x in r) for r in self._num)
         return tuple(tuple(float(x) for x in row) for row in self._array)
 
     def entry(self, i: int, j: int):
         if self.is_exact:
-            return self._rows[i][j]
+            return Fraction(self._num[i][j], self._den)
         return float(self._array[i, j])
 
     def as_array(self) -> np.ndarray:
-        """Float64 ndarray view of the entries (read-only for float backing)."""
-        if self.is_exact:
-            return np.array(
-                [[float(x) for x in row] for row in self._rows], dtype=np.float64
-            )
-        return self._array
+        """Float64 ndarray of the entries (read-only for float backing).
+
+        Exact entries are correctly rounded, as ``float(Fraction)`` rounds them.
+        """
+        if not self.is_exact:
+            return self._array
+        num, den = self._num, self._den
+        limit = 1 << 53
+        if den < limit and all(-limit < x < limit for r in num for x in r):
+            # both operands are exact doubles, and IEEE division rounds correctly
+            return np.array(num, dtype=np.float64) / den
+        return np.array([[x / den for x in r] for r in num], dtype=np.float64)
 
     def to_float(self) -> "Matrix":
         """Float64 copy; the identity for matrices already in float backing."""
         if not self.is_exact:
             return self
-        return Matrix.float64([[float(x) for x in row] for row in self._rows])
+        return Matrix.float64(self.as_array())
 
     def transpose(self) -> "Matrix":
         if self.is_exact:
-            return Matrix.exact(list(zip(*self._rows)))
+            return Matrix._from_numerators(
+                list(zip(*self._num)), self._den, reduced=True
+            )
         return Matrix.float64(self._array.T)
 
     def __neg__(self) -> "Matrix":
         if self.is_exact:
-            return Matrix.exact([[-x for x in row] for row in self._rows])
+            return Matrix._from_numerators(
+                [[-x for x in r] for r in self._num], self._den, reduced=True
+            )
         return Matrix.float64(-self._array)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._pointwise(other, lambda a, b: a + b, np.add)
+        return self._pointwise(other, operator.add, np.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._pointwise(other, lambda a, b: a - b, np.subtract)
+        return self._pointwise(other, operator.sub, np.subtract)
 
-    def _pointwise(self, other, frac_op, np_op) -> "Matrix":
+    def _pointwise(self, other, int_op, np_op) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if other.n != self.n:
@@ -149,11 +201,14 @@ class Matrix:
                 f"dimension mismatch: {self.n} vs {other.n}"
             )
         if self.is_exact and other.is_exact:
-            return Matrix.exact(
+            den = math.lcm(self._den, other._den)
+            a, b = den // self._den, den // other._den
+            return Matrix._from_numerators(
                 [
-                    [frac_op(a, b) for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self._rows, other._rows)
-                ]
+                    [int_op(a * x, b * y) for x, y in zip(ra, rb)]
+                    for ra, rb in zip(self._num, other._num)
+                ],
+                den,
             )
         return Matrix.float64(np_op(self.as_array(), other.as_array()))
 
@@ -163,7 +218,7 @@ class Matrix:
         if self.n != other.n or self.backing is not other.backing:
             return False
         if self.is_exact:
-            return self._rows == other._rows
+            return self._den == other._den and self._num == other._num
         return bool(np.array_equal(self._array, other._array))
 
     def __repr__(self) -> str:
@@ -177,7 +232,7 @@ class Matrix:
 
     def to_json_dict(self) -> dict:
         if self.is_exact:
-            entries = [[str(x) for x in row] for row in self._rows]
+            entries = [[str(x) for x in row] for row in self.rows()]
         else:
             entries = [[float(x) for x in row] for row in self._array]
         return {"n": self.n, "entries": entries, "exact": self.is_exact}
@@ -263,7 +318,7 @@ class Verdict:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Verdict":
-        return cls(Status(obj["status"]), _decode_scalar(obj["margin"]))
+        return cls(Status(obj["status"]), float(obj["margin"]))
 
 
 def _encode_scalar(x: float):
@@ -272,10 +327,6 @@ def _encode_scalar(x: float):
     if math.isnan(x):
         return "nan"
     return "inf" if x > 0 else "-inf"
-
-
-def _decode_scalar(x) -> float:
-    return float(x)
 
 
 def banded_verdict(margin, exact: bool) -> Verdict:
@@ -294,22 +345,28 @@ def banded_verdict(margin, exact: bool) -> Verdict:
 # -- exact elimination kernels ----------------------------------------------
 
 
-def _scaled_integer_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; returns integer rows and row multipliers."""
-    ints = []
-    mults = []
-    for row in rows:
-        mult = math.lcm(*(x.denominator for x in row))
-        mults.append(mult)
-        ints.append([x.numerator * (mult // x.denominator) for x in row])
-    return ints, mults
+def _eliminate(row_i: list[int], row_k: list[int], k: int, pivot: int, prev: int):
+    """One Bareiss step on the columns after k, in place:
+    row_i[j] <- (pivot * row_i[j] - row_i[k] * row_k[j]) / prev.
+
+    The division is exact (Bareiss 1968). When row_i[k] is zero only the
+    nonzero entries need rescaling, which keeps sparse rows cheap.
+    """
+    f = row_i[k]
+    if f:
+        for j in range(k + 1, len(row_i)):
+            row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+    else:
+        for j in range(k + 1, len(row_i)):
+            if row_i[j]:
+                row_i[j] = row_i[j] * pivot // prev
 
 
-def _det_exact(rows) -> Fraction:
-    """Fraction-free Bareiss elimination with first-nonzero row pivoting."""
-    n = len(rows)
-    m, mults = _scaled_integer_rows(rows)
-    scale = math.prod(mults)
+def _det_exact(num, den: int) -> Fraction:
+    """det(num / den) by fraction-free Bareiss elimination on the integer
+    numerators, with first-nonzero row pivoting."""
+    n = len(num)
+    m = [list(r) for r in num]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -321,75 +378,82 @@ def _det_exact(rows) -> Fraction:
             sign = -sign
         pivot = m[k][k]
         for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
+            _eliminate(m[i], m[k], k, pivot, prev)
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    return Fraction(sign * m[n - 1][n - 1], den**n)
 
 
-def _leading_minors_exact(rows) -> list[Fraction]:
-    """All leading principal minors, one Bareiss pass when no pivot stalls.
+def _leading_minors_exact(num, den: int) -> list[Fraction]:
+    """All leading principal minors of num / den, one Bareiss pass when no
+    pivot stalls.
 
     Without row swaps the pivot produced after eliminating column k equals
-    the order-(k+1) leading minor of the scaled integer matrix. A zero pivot
-    stalls the pass; remaining minors fall back to per-submatrix Bareiss.
+    the order-(k+1) leading minor of the numerator grid, so minor k+1 is
+    pivot / den^(k+1). A zero pivot stalls the pass; remaining minors fall
+    back to per-submatrix Bareiss.
     """
-    n = len(rows)
-    m, mults = _scaled_integer_rows(rows)
+    n = len(num)
+    m = [list(r) for r in num]
     minors: list[Fraction] = []
-    cum = 1
+    scale = 1
     prev = 1
     stalled = False
     for k in range(n):
-        cum *= mults[k]
+        scale *= den
         if stalled:
-            minors.append(_det_exact([r[: k + 1] for r in rows[: k + 1]]))
+            minors.append(_det_exact([r[: k + 1] for r in num[: k + 1]], den))
             continue
         pivot = m[k][k]
-        minors.append(Fraction(pivot, cum))
+        minors.append(Fraction(pivot, scale))
         if k == n - 1:
             break
         if pivot == 0:
             stalled = True
             continue
         for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+            _eliminate(m[i], m[k], k, pivot, prev)
         prev = pivot
     return minors
 
 
-def _solve_exact(a_rows, b_rows) -> list[list[Fraction]]:
-    """Solve A X = B over the rationals by Gauss-Jordan elimination."""
-    n = len(a_rows)
-    width = len(b_rows[0])
-    aug = [list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularBlock("leading block is singular")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _bareiss_gauss_jordan(aug: list[list[int]], k: int) -> int:
+    """Fraction-free Gauss-Jordan elimination of the integer rows [A | B].
+
+    A is the leading k-by-k block. Works in place and returns d = +-det(A)
+    (the sign follows the row swaps); the columns after A then hold
+    d * A^-1 B. Returns 0, leaving ``aug`` partly eliminated, when A is
+    singular. Each pivot is a leading minor of the row-swapped A.
+    """
+    prev = 1
+    for c in range(k):
+        if aug[c][c] == 0:
+            pivot_row = next((r for r in range(c + 1, k) if aug[r][c] != 0), None)
+            if pivot_row is None:
+                return 0
+            aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
+        pivot = aug[c][c]
+        # columns up to c are not read again, so they are left as they are
+        for i in range(k):
+            if i != c:
+                _eliminate(aug[i], aug[c], c, pivot, prev)
+        prev = pivot
+    return prev
 
 
-def _inverse_exact(rows) -> list[list[Fraction]]:
-    n = len(rows)
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return _solve_exact(rows, eye)
+def _smallest_inverse_entry(m: Matrix) -> Fraction | None:
+    """Smallest entry of the inverse of an exact matrix; None when singular.
+
+    One fraction-free pass over [num | I] gives d * num^-1 for d = +-det(num),
+    and the inverse of num / den is den * num^-1.
+    """
+    n = m.n
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m._num)]
+    d = _bareiss_gauss_jordan(aug, n)
+    if d == 0:
+        return None
+    scaled = (x for r in aug for x in r[n:])
+    extreme = min(scaled) if d > 0 else max(scaled)
+    return Fraction(extreme * m._den, d)
 
 
 # -- operations ---------------------------------------------------------------
@@ -398,14 +462,14 @@ def _inverse_exact(rows) -> list[list[Fraction]]:
 def det(m: Matrix):
     """Determinant; exact Fraction in rational backing, float otherwise."""
     if m.is_exact:
-        return _det_exact(m.rows())
+        return _det_exact(m._num, m._den)
     return float(np.linalg.det(m.as_array()))
 
 
 def leading_principal_minors(m: Matrix) -> list:
     """Determinants of the top-left k-by-k submatrices, k = 1..n."""
     if m.is_exact:
-        return _leading_minors_exact(m.rows())
+        return _leading_minors_exact(m._num, m._den)
     arr = m.as_array()
     return [float(np.linalg.det(arr[:k, :k])) for k in range(1, m.n + 1)]
 
@@ -453,17 +517,20 @@ def schur_complement(m: Matrix, k: int) -> Matrix:
     if not 1 <= k <= m.n - 1:
         raise DomainError(f"split index must be in [1, {m.n - 1}], got {k}")
     if m.is_exact:
-        rows = m.rows()
-        a = [list(r[:k]) for r in rows[:k]]
-        b = [list(r[k:]) for r in rows[:k]]
-        c = [list(r[:k]) for r in rows[k:]]
-        d = [list(r[k:]) for r in rows[k:]]
-        x = _solve_exact(a, b)  # raises SingularBlock when det(A) == 0
+        num = m._num
+        # [A | B] -> [d I | d A^-1 B], then S = (d D - C d A^-1 B) / (d den)
+        top = [list(r) for r in num[:k]]
+        d = _bareiss_gauss_jordan(top, k)
+        if d == 0:
+            raise SingularBlock("leading block is singular")
         comp = [
-            [d[i][j] - sum(c[i][t] * x[t][j] for t in range(k)) for j in range(m.n - k)]
-            for i in range(m.n - k)
+            [
+                d * num[i][j] - sum(num[i][t] * top[t][j] for t in range(k))
+                for j in range(k, m.n)
+            ]
+            for i in range(k, m.n)
         ]
-        return Matrix.exact(comp)
+        return Matrix._from_numerators(comp, d * m._den)
     arr = m.as_array()
     a = arr[:k, :k]
     if float(np.linalg.det(a)) == 0.0:
@@ -513,9 +580,8 @@ def is_z_matrix(m: Matrix) -> bool:
     Exact in rational backing; float backing allows slack of +1e-12.
     """
     if m.is_exact:
-        rows = m.rows()
         return all(
-            rows[i][j] <= 0 for i in range(m.n) for j in range(m.n) if i != j
+            x <= 0 for i, r in enumerate(m._num) for j, x in enumerate(r) if i != j
         )
     arr = m.as_array().copy()
     np.fill_diagonal(arr, -np.inf)

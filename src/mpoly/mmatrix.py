@@ -3,7 +3,7 @@
 The five conditions cross-validate each other on Z-matrices:
 
 * E17: all leading principal minors positive (exact when the input is
-  rational, float-banded otherwise),
+  rational; otherwise the smallest pivot over max |M_ij| is float-banded),
 * D16: all (near-)real eigenvalues positive,
 * N38: the inverse is entrywise nonnegative,
 * POS_STABLE: every eigenvalue has positive real part,
@@ -31,8 +31,7 @@ from .linalg import (
     Verdict,
     banded_verdict,
     _encode_scalar,
-    _inverse_exact,
-    det,
+    _smallest_inverse_entry,
     eigenvalues,
     is_z_matrix,
     leading_principal_minors,
@@ -48,12 +47,28 @@ CONSENSUS_DISAGREE = "DISAGREE"
 
 
 def check_e17(m: Matrix) -> Verdict:
-    """All leading principal minors positive; margin is the smallest minor."""
+    """All leading principal minors positive.
+
+    The exact margin is the smallest minor. The float margin is the smallest
+    pivot (the ratio of successive leading minors, up to the first one that
+    is not positive) divided by max |M_ij|. Minor k scales as c^k under
+    M -> c M, but that ratio does not change, so the float verdict does not
+    depend on the scale of M.
+    """
     minors = leading_principal_minors(m)
-    smallest = min(minors)
     if m.is_exact:
+        smallest = min(minors)
         return Verdict(Status.YES if smallest > 0 else Status.NO, float(smallest))
-    return banded_verdict(smallest, exact=False)
+    pivots = []
+    prev = 1.0
+    for minor in minors:
+        pivots.append(minor / prev)
+        if not minor > 0.0:
+            break
+        prev = minor
+    scale = float(np.abs(m.as_array()).max())
+    smallest = min(pivots)
+    return banded_verdict(smallest / scale if scale > 0.0 else smallest, exact=False)
 
 
 def check_d16(m: Matrix) -> Verdict:
@@ -79,11 +94,9 @@ def check_n38(m: Matrix) -> Verdict:
     zeros (the identity is the canonical YES).
     """
     if m.is_exact:
-        d = det(m)
-        if d == 0:
-            return Verdict(Status.NO, -abs(float(d)))
-        inverse = _inverse_exact(m.rows())
-        smallest = min(x for row in inverse for x in row)
+        smallest = _smallest_inverse_entry(m)
+        if smallest is None:
+            return Verdict(Status.NO, -0.0)  # -|det|
         return Verdict(Status.YES if smallest >= 0 else Status.NO, float(smallest))
     arr = m.as_array()
     d = float(np.linalg.det(arr))

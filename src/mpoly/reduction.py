@@ -5,14 +5,16 @@ size (n+1) x (n+1) whose convex combinations are nonsingular M-matrices
 exactly when the graph has an independent set of size larger than j. Each
 gadget has an identity block, a column -(e_i + c_i) (c_i the i'th adjacency
 column), a row -e_i, and corner 1/j; all entries lie in {0, -1, 1, 1/j} and
-are kept exact, so the determinant's sign at the feasibility boundary is
-decided without rounding.
+are kept as exact rationals (integer numerators over a common denominator),
+so the determinant's sign at the feasibility boundary is decided without
+rounding.
 
 Vertices are 1-based in graph files and 0-based everywhere in code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -138,45 +140,43 @@ class ReductionInstance:
     gadgets: tuple[Matrix, ...]
 
 
-def build_instance(g: Graph, j: int) -> ReductionInstance:
-    """Construct the n gadget matrices for threshold j, 1 <= j <= n."""
+def _check_threshold(g: Graph, j) -> None:
     if not isinstance(j, int) or not 1 <= j <= g.n:
         raise DomainError(f"threshold j must satisfy 1 <= j <= {g.n}, got {j}")
+
+
+def _closed_neighbourhoods(g: Graph) -> list[list[int]]:
+    """e_i + c_i for each vertex i: the 0/1 indicator of i and its neighbours."""
+    masks = [mask | 1 << i for i, mask in enumerate(g.neighbor_masks())]
+    return [[(mask >> r) & 1 for r in range(g.n)] for mask in masks]
+
+
+def build_instance(g: Graph, j: int) -> ReductionInstance:
+    """Construct the n gadget matrices for threshold j, 1 <= j <= n."""
+    _check_threshold(g, j)
     n = g.n
-    adj = g.adjacency_rows(exact=True)
-    corner = Fraction(1, j)
+    # numerators over the denominator j: identity block j I, column
+    # -j (e_i + c_i), row -j e_i, corner 1 (so already in lowest terms)
+    eye = [[j if c == r else 0 for c in range(n)] for r in range(n)]
     gadgets = []
-    for i in range(n):
-        rows = []
-        for r in range(n):
-            row = [Fraction(int(r == c)) for c in range(n)]
-            row.append(-(Fraction(int(r == i)) + adj[r][i]))
-            rows.append(row)
-        last = [-Fraction(int(c == i)) for c in range(n)]
-        last.append(corner)
-        rows.append(last)
-        gadgets.append(Matrix.exact(rows))
+    for i, column in enumerate(_closed_neighbourhoods(g)):
+        rows = [row + [-j * x] for row, x in zip(eye, column)]
+        rows.append([-j if c == i else 0 for c in range(n)] + [1])
+        gadgets.append(Matrix._from_numerators(rows, j, reduced=True))
     return ReductionInstance(source=g, j=j, gadgets=tuple(gadgets))
 
 
 def nonneg_parts(g: Graph, j: int) -> list[Matrix]:
     """Entrywise nonnegative parts N_i with gadget_i = I - N_i exactly."""
-    if not isinstance(j, int) or not 1 <= j <= g.n:
-        raise DomainError(f"threshold j must satisfy 1 <= j <= {g.n}, got {j}")
+    _check_threshold(g, j)
     n = g.n
-    adj = g.adjacency_rows(exact=True)
-    corner = Fraction(j - 1, j)
+    # numerators over the denominator j: column j (e_i + c_i), row j e_i,
+    # corner j - 1 (coprime to j, so already in lowest terms)
     parts = []
-    for i in range(n):
-        rows = []
-        for r in range(n):
-            row = [Fraction(0)] * n
-            row.append(Fraction(int(r == i)) + adj[r][i])
-            rows.append(row)
-        last = [Fraction(int(c == i)) for c in range(n)]
-        last.append(corner)
-        rows.append(last)
-        parts.append(Matrix.exact(rows))
+    for i, column in enumerate(_closed_neighbourhoods(g)):
+        rows = [[0] * n + [j * x] for x in column]
+        rows.append([j if c == i else 0 for c in range(n)] + [j - 1])
+        parts.append(Matrix._from_numerators(rows, j, reduced=True))
     return parts
 
 
@@ -193,17 +193,19 @@ def convex_combination(matrices: Sequence[Matrix], pi: SimplexPoint) -> Matrix:
             f"{len(pi)} weights for {len(mats)} matrices"
         )
     if pi.is_exact and all(m.is_exact for m in mats):
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for w, mat in zip(pi.weights, mats):
-            if w == 0:
-                continue
-            rows = mat.rows()
-            for r in range(n):
-                acc_r = acc[r]
-                row = rows[r]
-                for c in range(n):
-                    acc_r[c] += w * row[c]
-        return Matrix.exact(acc)
+        terms = [(w, m) for w, m in zip(pi.weights, mats) if w != 0]
+        # sum_i (p_i / q_i) (num_i / den_i) over the denominator Q * D, with
+        # Q the lcm of the q_i and D the lcm of the den_i
+        q = math.lcm(*(w.denominator for w, _ in terms))
+        d = math.lcm(*(m._den for _, m in terms))
+        acc = [[0] * n for _ in range(n)]
+        for w, m in terms:
+            coef = w.numerator * (q // w.denominator) * (d // m._den)
+            for acc_r, row in zip(acc, m._num):
+                for c, x in enumerate(row):
+                    if x:
+                        acc_r[c] += coef * x
+        return Matrix._from_numerators(acc, q * d)
     stack = np.stack([m.as_array() for m in mats])
     return Matrix.float64(np.tensordot(pi.to_floats(), stack, axes=1))
 
@@ -221,8 +223,7 @@ def quadratic_form(g: Graph, pi: SimplexPoint):
 
 def det_closed_form(g: Graph, j: int, pi: SimplexPoint):
     """Closed-form determinant 1/j - pi' (I + C) pi of the combined gadget."""
-    if not isinstance(j, int) or not 1 <= j <= g.n:
-        raise DomainError(f"threshold j must satisfy 1 <= j <= {g.n}, got {j}")
+    _check_threshold(g, j)
     form = quadratic_form(g, pi)
     if pi.is_exact:
         return Fraction(1, j) - form

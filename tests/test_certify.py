@@ -48,6 +48,26 @@ class TestE17:
     def test_negative_scalar(self):
         assert check_e17(Matrix.exact([[-1]])).status is Status.NO
 
+    def test_float_margin_is_scale_free(self):
+        # the raw smallest minor of 1e-3 I_5 is 1e-15, inside the band
+        small = Matrix.float64(1e-3 * np.eye(5))
+        assert check_e17(small).status is Status.YES
+        assert certify(small).consensus == "YES"
+
+    def test_consensus_unchanged_by_scaling(self):
+        rng = np.random.default_rng(104)
+        kept = 0
+        for _ in range(200):
+            m = random_z_matrix(rng, n_max=8)
+            rep = certify(m)
+            margins = [abs(v) for v in rep.margins.values() if math.isfinite(v)]
+            if min(margins) < 1e-3:
+                continue
+            for c in (1e-3, 1e3):
+                assert certify(Matrix.float64(c * m.as_array())).consensus == rep.consensus
+            kept += 1
+        assert kept > 100
+
 
 class TestD16:
     def test_yes(self):
