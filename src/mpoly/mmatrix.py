@@ -12,6 +12,11 @@ The five conditions cross-validate each other on Z-matrices:
 
 Eigenvalue-based conditions always run on the float copy and may report
 MARGINAL near a boundary; E17 and N38 decide exactly on rational inputs.
+Float verdicts are banded relative to the size of the matrix: D16,
+POS_STABLE and RHO_SPLIT divide their margins by max |M_ij| and float N38
+divides by max |M^-1_ij| before comparing with the tolerance, so scaling M
+by a positive number does not move a verdict. The margins reported for
+these four are the unscaled ones.
 Non-Z inputs still get raw verdicts, but the report's ``is_z`` flag marks
 that the equivalences do not apply there.
 """
@@ -46,6 +51,18 @@ CONSENSUS_MARGINAL = "MARGINAL"
 CONSENSUS_DISAGREE = "DISAGREE"
 
 
+def _over_scale(value: float, arr: np.ndarray) -> float:
+    """value / max |arr_ij|, or value itself when arr is zero."""
+    scale = float(np.abs(arr).max())
+    return value / scale if scale > 0.0 else value
+
+
+def _scaled_verdict(margin: float, arr: np.ndarray) -> Verdict:
+    """Float verdict banded on margin / max |arr_ij|; the margin kept is unscaled."""
+    status = banded_verdict(_over_scale(margin, arr), exact=False).status
+    return Verdict(status, float(margin))
+
+
 def check_e17(m: Matrix) -> Verdict:
     """All leading principal minors positive.
 
@@ -66,32 +83,33 @@ def check_e17(m: Matrix) -> Verdict:
         if not minor > 0.0:
             break
         prev = minor
-    scale = float(np.abs(m.as_array()).max())
-    smallest = min(pivots)
-    return banded_verdict(smallest / scale if scale > 0.0 else smallest, exact=False)
+    return banded_verdict(_over_scale(min(pivots), m.as_array()), exact=False)
 
 
 def check_d16(m: Matrix) -> Verdict:
     """Every eigenvalue that is (near-)real must be positive.
 
-    Decided on the float copy. A matrix without near-real eigenvalues
-    passes vacuously with an infinite margin; that cannot happen for a
-    Z-matrix, whose minimal eigenvalue is real.
+    Decided on the float copy, banded on the smallest real eigenvalue over
+    max |M_ij|. A matrix without near-real eigenvalues passes vacuously
+    with an infinite margin; that cannot happen for a Z-matrix, whose
+    minimal eigenvalue is real.
     """
     tol = config.tolerance()
-    eigs = eigenvalues(m.to_float())
+    f = m.to_float()
+    eigs = eigenvalues(f)
     real_parts = [z.real for z in eigs if abs(z.imag) < tol]
     if not real_parts:
         return Verdict(Status.YES, math.inf)
-    return banded_verdict(min(real_parts), exact=False)
+    return _scaled_verdict(min(real_parts), f.as_array())
 
 
 def check_n38(m: Matrix) -> Verdict:
     """The inverse must be entrywise nonnegative; margin is its smallest entry.
 
-    Singular input is a NO with margin -|det|. The YES band extends down to
-    -tolerance because well-conditioned inverses routinely contain exact
-    zeros (the identity is the canonical YES).
+    Singular input is a NO with margin -|det|. In float the YES band
+    extends down to -tolerance, taken relative to max |M^-1_ij|, because
+    well-conditioned inverses routinely contain exact zeros (the identity
+    is the canonical YES).
     """
     if m.is_exact:
         smallest = _smallest_inverse_entry(m)
@@ -108,22 +126,28 @@ def check_n38(m: Matrix) -> Verdict:
         return Verdict(Status.NO, -abs(d))
     smallest = float(inverse.min())
     tol = config.tolerance()
-    return Verdict(Status.YES if smallest >= -tol else Status.NO, smallest)
+    status = Status.YES if _over_scale(smallest, inverse) >= -tol else Status.NO
+    return Verdict(status, smallest)
 
 
 def check_positive_stable(m: Matrix) -> Verdict:
-    """Every eigenvalue must have positive real part (float copy)."""
-    eigs = eigenvalues(m.to_float())
-    return banded_verdict(min(z.real for z in eigs), exact=False)
+    """Every eigenvalue must have positive real part (float copy).
+
+    Banded on the smallest real part over max |M_ij|.
+    """
+    f = m.to_float()
+    eigs = eigenvalues(f)
+    return _scaled_verdict(min(z.real for z in eigs), f.as_array())
 
 
 def check_rho_split(m: Matrix) -> Verdict:
     """Regular-splitting test: rho(s I - M) < s for s = max diagonal entry.
 
     Requires Z-structure so that N = s I - M is entrywise nonnegative. The
-    smallest valid s gives the tightest margin s - rho(N). Nonpositive s is
-    an outright NO (a Z-matrix with no positive diagonal entry has
-    nonpositive trace and cannot be positive stable).
+    smallest valid s gives the tightest margin s - rho(N), banded over
+    max |M_ij|. Nonpositive s is an outright NO (a Z-matrix with no
+    positive diagonal entry has nonpositive trace and cannot be positive
+    stable).
     """
     if not is_z_matrix(m):
         raise DomainError("rho-split test requires a Z-matrix")
@@ -134,7 +158,7 @@ def check_rho_split(m: Matrix) -> Verdict:
     margin = s - rho
     if s <= 0.0:
         return Verdict(Status.NO, margin)
-    return banded_verdict(margin, exact=False)
+    return _scaled_verdict(margin, arr)
 
 
 _CHECKS = (

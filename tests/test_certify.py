@@ -1,6 +1,7 @@
 """Five-way M-matrix certification and its cross-validation lattice."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +170,23 @@ class TestCertify:
         assert rep.verdicts["E17"].status is Status.YES
         # N38 legitimately disagrees here: equivalence presupposes Z-structure
         assert rep.verdicts["N38"].status is Status.NO
+
+    @pytest.mark.parametrize("c", [Fraction(1, 10**12), Fraction(10**12)])
+    def test_scaled_identity_is_yes_in_every_check(self, c):
+        exact = Matrix.exact([[c if i == j else 0 for j in range(3)] for i in range(3)])
+        for m in (exact, Matrix.float64(float(c) * np.eye(3))):
+            rep = certify(m)
+            assert rep.consensus == "YES"
+            assert all(v.status is Status.YES for v in rep.verdicts.values())
+
+    @pytest.mark.parametrize("c", [1e-8, 1e12])
+    def test_scaled_s_minus_n_keeps_its_verdicts(self, c):
+        # rho(N) = 2, so s - rho = +-0.05: times 1e-8 the eigenvalue margins
+        # fall inside the band, times 1e12 the negative inverse entries do
+        nonneg = np.ones((3, 3)) - np.eye(3)
+        for s, want in ((2.05, Status.YES), (1.95, Status.NO)):
+            rep = certify(Matrix.float64(c * (s * np.eye(3) - nonneg)))
+            assert {v.status for v in rep.verdicts.values()} == {want}, s
 
     def test_report_json_round_trip(self):
         rep = certify(Matrix.float64([[0, 1], [-1, 0]]))

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +173,16 @@ class TestOracleCommands:
         payload = json.loads(first.stdout)
         assert abs(payload["value"] - 0.5) < 1e-6
         assert payload["alpha_lower_bound"] == 2
+
+    def test_ms_solve_single_round(self, workspace):
+        args = ("ms-solve", str(workspace / "c5.col"), "--json", "--iters", "1")
+        first = mpoly_cmd(*args)
+        second = mpoly_cmd(*args)
+        assert first.returncode == 0
+        assert first.stdout == second.stdout
+        payload = json.loads(first.stdout)
+        assert math.isfinite(payload["value"])
+        assert payload["value"] >= 0.5 - 1e-9
 
 
 class TestSearchCommands:

@@ -1,7 +1,11 @@
 """Brute-force independent sets and the simplex quadratic-form minimizer."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpoly import (
     BudgetExceeded,
@@ -15,6 +19,8 @@ from mpoly import (
     quadratic_form,
     witness_from_independent_set,
 )
+from mpoly.oracle import MSolveResult, _forms, _ms_round
+from mpoly.simplex import sample_simplex_rows
 
 import corpus
 
@@ -123,6 +129,45 @@ class TestMotzkinStrausMin:
             motzkin_straus_min(corpus.cycle(5), restarts=0)
         with pytest.raises(DomainError):
             motzkin_straus_min(corpus.cycle(5), restarts=5, iters=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.sampled_from(corpus.GNP_P_CYCLE),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_identity_on_random_gnp(self, n, p, graph_seed):
+        g = corpus.gnp(n, p, graph_seed)
+        alpha = corpus.exhaustive_alpha(g)
+        res = motzkin_straus_min(g, seed=0)
+        assert 1.0 / alpha - 1e-9 <= res.value <= 1.0 / alpha + 1e-6
+
+    def test_form_never_rises_in_a_round(self):
+        # up to rounding: the plain step alone already decreases the form,
+        # and the ray is taken only where it does better
+        for g in corpus.gnp_samples((2, 5, 9, 14), 20, 99):
+            a = np.asarray(g.adjacency_rows(exact=False)) + np.eye(g.n)
+            step = 1.0 / max(2.0 * np.linalg.eigvalsh(a).max(), 2.0)
+            x = sample_simplex_rows(np.random.default_rng(g.n), 30, g.n)
+            before = _forms(x, a)
+            for _ in range(100):
+                x = _ms_round(x, a, step)
+                after = _forms(x, a)
+                assert np.all(after <= before + 1e-14)
+                assert np.all(x >= 0.0)
+                assert np.abs(x.sum(1) - 1.0).max() <= 1e-12
+                before = after
+
+    def test_single_round_and_single_restart(self):
+        g = corpus.cycle(7)
+        for restarts, iters in ((1, 1), (1, 1000), (20, 1)):
+            res = motzkin_straus_min(g, restarts=restarts, iters=iters, seed=4)
+            assert isinstance(res, MSolveResult)
+            assert res.restarts_used == restarts
+            assert len(res.minimizer) == g.n
+            assert math.isfinite(res.value)
+            assert res.value >= 1.0 / 3 - 1e-9
+            assert abs(res.value - quadratic_form(g, res.minimizer)) <= 1e-12
 
 
 class TestExtractIndependentSet:
