@@ -15,7 +15,8 @@ MARGINAL near a boundary; E17 and N38 decide exactly on rational inputs.
 Float verdicts are banded relative to the size of the matrix: D16,
 POS_STABLE and RHO_SPLIT divide their margins by max |M_ij| and float N38
 divides by max |M^-1_ij| before comparing with the tolerance, so scaling M
-by a positive number does not move a verdict. The margins reported for
+by a positive number does not move a verdict; D16 also takes an
+eigenvalue as near-real relative to max |M_ij|. The margins reported for
 these four are the unscaled ones.
 Non-Z inputs still get raw verdicts, but the report's ``is_z`` flag marks
 that the equivalences do not apply there.
@@ -89,18 +90,20 @@ def check_e17(m: Matrix) -> Verdict:
 def check_d16(m: Matrix) -> Verdict:
     """Every eigenvalue that is (near-)real must be positive.
 
-    Decided on the float copy, banded on the smallest real eigenvalue over
-    max |M_ij|. A matrix without near-real eigenvalues passes vacuously
-    with an infinite margin; that cannot happen for a Z-matrix, whose
-    minimal eigenvalue is real.
+    Decided on the float copy: an eigenvalue is near-real when its
+    imaginary part over max |M_ij| is below the tolerance, and the verdict
+    is banded on the smallest near-real eigenvalue over max |M_ij|. A
+    matrix without near-real eigenvalues passes vacuously with an infinite
+    margin; that cannot happen for a Z-matrix, whose minimal eigenvalue is
+    real.
     """
-    tol = config.tolerance()
     f = m.to_float()
-    eigs = eigenvalues(f)
-    real_parts = [z.real for z in eigs if abs(z.imag) < tol]
+    arr = f.as_array()
+    cutoff = config.tolerance() * (float(np.abs(arr).max()) or 1.0)
+    real_parts = [z.real for z in eigenvalues(f) if abs(z.imag) < cutoff]
     if not real_parts:
         return Verdict(Status.YES, math.inf)
-    return _scaled_verdict(min(real_parts), f.as_array())
+    return _scaled_verdict(min(real_parts), arr)
 
 
 def check_n38(m: Matrix) -> Verdict:
@@ -189,6 +192,16 @@ class CertificationReport:
     ``is_z`` is false the M-matrix characterizations do not apply and the
     consensus is only a raw summary; conditions that cannot run on the input
     (RHO_SPLIT on non-Z matrices) land in ``errors``.
+
+    ``margins`` holds each verdict's own margin, and these are not on one
+    scale. Exact E17 and N38 report the smallest leading minor and the
+    smallest inverse entry. Float E17 reports the smallest pivot over
+    max |M_ij|, a scale-free number. D16, POS_STABLE and RHO_SPLIT (always
+    computed in float) and float N38 report unscaled margins (an
+    eigenvalue, a real part, s - rho, an inverse entry), although their
+    verdicts are banded on the margin over max |M_ij| (over max |M^-1_ij|
+    for N38). So compare a margin only with the same condition's margin,
+    not ``min(margins)`` across conditions.
     """
 
     input_dim: int

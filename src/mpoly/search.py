@@ -19,11 +19,12 @@ Four entry points:
 * :func:`hurwitz_search` descends on the spectral abscissa and certifies
   Hurwitz witnesses by re-computing eigenvalues.
 
-All searches are deterministic for a fixed seed. The general search moves
-its starts in lockstep rounds and, of the starts that cross the tolerance
-in one round, re-certifies the lowest start index first; it admits to a
-round only the starts whose evaluations fit in the budget left. The
-spectral descents keep the best value found, ties to the earliest start.
+All searches are deterministic for a fixed seed. The general search and
+the spectral descents move their starts in lockstep rounds that share one
+line-search round, and admit to a round only the starts whose evaluations
+fit in the budget left. Of the starts that cross the tolerance in one
+round, the general search re-certifies the lowest start index first; the
+spectral descents keep the best value found, ties to the lowest start.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .reduction import convex_combination
 from .simplex import (
     SimplexPoint,
     project_rows_to_simplex,
-    project_to_simplex,
     rationalize,
     sample_simplex_rows,
 )
@@ -53,6 +53,7 @@ from .simplex import (
 GRID_DENOM = 8
 GRID_MAX_K = 4
 MAX_STARTS = 24
+SPECTRAL_STARTS = 16
 ITERS_PER_START = 60
 MERIT_FD_STEP = 1e-6
 SPECTRAL_FD_STEP = 1e-7
@@ -129,8 +130,32 @@ class _Tracker:
             self.best = merit
             self.trace.append((self.spent, float(merit)))
 
-    def room(self, cost: int = 1) -> bool:
-        return self.spent + cost <= self.budget
+    def left(self) -> int:
+        return max(self.budget - self.spent, 0)
+
+
+def _line_search_round(x, fx, grads, step, merit):
+    """One projected line-search round of ascent on `merit` for each row of x.
+
+    Tries the steps step, step/4, step/16 and step/64 along each row's
+    gradient, all in one merit batch; a step counts only after every earlier
+    one moved (by 1e-14 or more) and failed. Returns the mask of rows that
+    improved by more than 1e-15, and for those rows the first improving
+    point, its merit and the next step (1.6 times the one taken, at most 1).
+    """
+    rows, k = x.shape
+    steps = step[:, None] * LINE_SEARCH_SCALES
+    cands = project_rows_to_simplex(
+        (x[:, None, :] + steps[:, :, None] * grads[:, None, :]).reshape(-1, k)
+    ).reshape(rows, -1, k)
+    fc = merit(cands.reshape(-1, k)).reshape(rows, -1)
+    # a step is tried only after every earlier one moved and failed
+    tried = np.cumprod(np.abs(cands - x[:, None, :]).max(axis=2) >= 1e-14, axis=1)
+    better = tried.astype(bool) & (fc > fx[:, None] + 1e-15)
+    took = better.any(axis=1)
+    first = better.argmax(axis=1)[took]
+    next_step = np.minimum(steps[took, first] * 1.6, 1.0)
+    return took, cands[took, first], fc[took, first], next_step
 
 
 # -- general (nonsymmetric) M-matrix search ----------------------------------
@@ -185,7 +210,7 @@ def search_general(
     if k <= GRID_MAX_K:
         passes.append(list(_compositions(GRID_DENOM, k)))
     for comps in passes:
-        comps = comps[: budget - tracker.spent]
+        comps = comps[: tracker.left()]
         weights = np.array(comps, dtype=np.float64).reshape(-1, k) / GRID_DENOM
         passing = np.flatnonzero(merit(weights) > tol)
         res = verified(
@@ -200,7 +225,7 @@ def search_general(
     # multi-start projected first-order ascent, all live starts in lockstep
     rng = np.random.default_rng(seed)
     w = np.vstack([np.full(k, 1.0 / k), sample_simplex_rows(rng, MAX_STARTS - 1, k)])
-    w = w[: budget - tracker.spent]
+    w = w[: tracker.left()]
     fv = merit(w)
     step = np.full(len(w), 0.25)
     eye = np.eye(k)
@@ -213,26 +238,17 @@ def search_general(
         )
         if res is not None:
             return res
-        live = moved_to[fv[moved_to] <= tol][: (budget - tracker.spent) // (k + 4)]
+        live = moved_to[fv[moved_to] <= tol][: tracker.left() // (k + 4)]
         if not live.size:
             return finish(SearchStatus.UNKNOWN)
         x, fx = w[live], fv[live]
         probes = (x[:, None, :] + MERIT_FD_STEP * eye).reshape(-1, k)
         grads = (merit(probes).reshape(-1, k) - fx[:, None]) / MERIT_FD_STEP
-        steps = step[live, None] * LINE_SEARCH_SCALES
-        cands = project_rows_to_simplex(
-            (x[:, None, :] + steps[:, :, None] * grads[:, None, :]).reshape(-1, k)
-        ).reshape(len(live), -1, k)
-        fc = merit(cands.reshape(-1, k)).reshape(len(live), -1)
-        # a step is tried only after every earlier one moved and failed
-        tried = np.cumprod(np.abs(cands - x[:, None, :]).max(axis=2) >= 1e-14, axis=1)
-        better = tried.astype(bool) & (fc > fx[:, None] + 1e-15)
-        took = better.any(axis=1)
-        first = better.argmax(axis=1)[took]
+        took, w_new, f_new, step_new = _line_search_round(
+            x, fx, grads, step[live], merit
+        )
         moved_to = live[took]
-        w[moved_to] = cands[took, first]
-        fv[moved_to] = fc[took, first]
-        step[moved_to] = np.minimum(steps[took, first] * 1.6, 1.0)
+        w[moved_to], fv[moved_to], step[moved_to] = w_new, f_new, step_new
 
 
 # -- symmetric convex path ----------------------------------------------------
@@ -377,141 +393,140 @@ def search_symmetric(
 # -- spectral-objective descent (shared by radius and abscissa searches) ------
 
 
-def _left_right_derivative(
-    stack: np.ndarray, b: np.ndarray, lam: complex, v: np.ndarray
-) -> np.ndarray | None:
-    """d(lambda)/d(weights) via left/right eigenvectors; None when ill-posed."""
-    vals_t, vecs_t = np.linalg.eig(b.T)
-    kt = int(np.argmin(np.abs(vals_t - lam)))
-    if abs(vals_t[kt] - lam) > 1e-6:
-        return None
-    u = vecs_t[:, kt]
-    denom = u @ v
-    if abs(denom) < 1e-10:
-        return None
-    return np.array([(u @ (a @ v)) / denom for a in stack])
+def _top_eigenvalues(vals: np.ndarray, radius: bool):
+    """(index, value, smooth?) of the top eigenvalue in each row of `vals`.
+
+    The radius (largest modulus) is smooth when one eigenvalue attains it
+    within EIG_GAP and that eigenvalue is real and positive (the Perron
+    case). The abscissa (largest real part) is smooth when every other
+    eigenvalue within EIG_GAP of it is the conjugate of a non-real top
+    eigenvalue; a real top eigenvalue must be simple.
+    """
+    rows = np.arange(len(vals))
+    key = np.abs(vals) if radius else vals.real
+    top = key.argmax(axis=1)
+    value = key[rows, top]
+    lam = vals[rows, top]
+    near = key >= value[:, None] - EIG_GAP
+    if radius:
+        simple = near.sum(axis=1) == 1
+        return top, value, simple & (np.abs(lam.imag) <= EIG_GAP) & (value > EIG_GAP)
+    near[rows, top] = False
+    partner = np.abs(vals - lam.conj()[:, None]) <= EIG_GAP
+    partner &= (np.abs(lam.imag) > EIG_GAP)[:, None]
+    return top, value, ~(near & ~partner).any(axis=1)
 
 
-def _radius_gradient(stack: np.ndarray, b: np.ndarray):
-    """(rho, gradient or None); gradient only when the radius is attained by
-    a single, real, well-separated eigenvalue (the Perron case)."""
-    vals, vecs = np.linalg.eig(b)
-    idx = int(np.argmax(np.abs(vals)))
-    lam = vals[idx]
-    rho = float(abs(lam))
-    near = np.sum(np.abs(vals) >= rho - EIG_GAP)
-    if near != 1 or abs(lam.imag) > EIG_GAP or rho <= EIG_GAP:
-        return rho, None
-    deriv = _left_right_derivative(stack, b, lam, vecs[:, idx])
-    if deriv is None:
-        return rho, None
-    return rho, np.real(deriv)
+def _spectral_values(stack: np.ndarray, points: np.ndarray, radius: bool):
+    """The radius or abscissa of the combination at each row of `points`."""
+    combos = np.tensordot(points, stack, axes=(1, 0))
+    return _top_eigenvalues(np.linalg.eigvals(combos), radius)[1]
 
 
-def _abscissa_gradient(stack: np.ndarray, b: np.ndarray):
-    """(abscissa, gradient or None); a conjugate pair at the top is fine."""
-    vals, vecs = np.linalg.eig(b)
-    idx = int(np.argmax(vals.real))
-    lam = vals[idx]
-    absc = float(lam.real)
-    for j, other in enumerate(vals):
-        if j == idx or other.real < absc - EIG_GAP:
-            continue
-        if abs(other - np.conjugate(lam)) > EIG_GAP:
-            return absc, None
-    deriv = _left_right_derivative(stack, b, lam, vecs[:, idx])
-    if deriv is None:
-        return absc, None
-    return absc, np.real(deriv)
+def _spectral_gradients(stack: np.ndarray, points: np.ndarray, radius: bool):
+    """(values, analytic gradients, smooth?) at each row of `points`.
+
+    A simple eigenvalue lam with right vector v and left vector u has
+    d lam / d w_m = u' A_m v / u'v; its real part is the gradient of the
+    radius or abscissa. A row's gradient holds only where its value is
+    smooth, the transposed combination has an eigenvalue within 1e-6 of
+    lam, and |u'v| >= 1e-10.
+    """
+    combos = np.tensordot(points, stack, axes=(1, 0))
+    rows = np.arange(len(points))
+    vals, right = np.linalg.eig(combos)
+    top, value, smooth = _top_eigenvalues(vals, radius)
+    lam = vals[rows, top]
+    vals_t, left = np.linalg.eig(combos.transpose(0, 2, 1))
+    match = np.abs(vals_t - lam[:, None]).argmin(axis=1)
+    u, v = left[rows, :, match], right[rows, :, top]
+    denom = (u * v).sum(axis=1)
+    smooth &= np.abs(vals_t[rows, match] - lam) <= 1e-6
+    smooth &= np.abs(denom) >= 1e-10
+    denom[~smooth] = 1.0
+    grads = np.einsum("si,mij,sj->sm", u, stack, v) / denom[:, None]
+    return value, grads.real, smooth
 
 
 def _descend_spectral(
     stack: np.ndarray,
-    k: int,
     budget: int,
     seed: int,
-    objective,
-    gradient,
-    stop_below: float | None,
+    radius: bool,
+    stop_below: float = -math.inf,
 ):
-    """Multi-start projected descent on a spectral objective.
+    """Multi-start projected descent on the spectral radius or abscissa.
 
-    `objective(w)` returns the value; `gradient(w)` returns (value, grad or
-    None), falling back to forward differences with the fixed spectral step
-    when the eigenvalue structure makes the derivative unreliable. Returns
-    (best weights, best value, evaluations, trace of (eval, -value)).
+    The uniform point, the vertices and (for k <= 4) the 1/8 grid are each
+    evaluated as one batch. Then 16 starts (the uniform point, then
+    Dirichlet draws from ``default_rng(seed)``) descend in lockstep rounds:
+    one batched eig for each live start's value and right eigenvector, one
+    on the transposed stack for the left ones, one eigvals batch of
+    forward-difference probes for the rows whose analytic gradient is gated
+    off, and the general search's line-search round on the negated value.
+    A start stops after a round without improvement or ITERS_PER_START
+    rounds. A round admits only the live starts whose k + 5 evaluations fit
+    in the budget left, so ``budget_spent <= budget`` for any budget >= 1
+    (the uniform point is always evaluated, so a best exists). The descent
+    stops once the best value is below ``stop_below``. The best is kept
+    over simplex points, not probes, ties to the lowest start in a batch.
+    Returns (best weights, tracker with the trace of negated best values).
     """
+    k = len(stack)
     tracker = _Tracker(budget)
-    best_val = math.inf
     best_w: np.ndarray | None = None
 
-    def evaluate(w: np.ndarray) -> float:
-        nonlocal best_val, best_w
-        val = objective(w)
-        tracker.record(1, -val)
-        if val < best_val:
-            best_val = val
-            best_w = w.copy()
-        return val
+    def keep(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        nonlocal best_w
+        if len(vals):
+            i = int(np.argmin(vals))  # the lowest index among ties
+            if -vals[i] > tracker.best:
+                best_w = points[i].copy()
+            tracker.record(len(points), -float(vals[i]))
+        return vals
 
-    def fd_grad(w: np.ndarray, base: float) -> np.ndarray:
-        grads = np.empty(k)
-        for i in range(k):
-            probe = w.copy()
-            probe[i] += SPECTRAL_FD_STEP
-            grads[i] = (evaluate(probe) - base) / SPECTRAL_FD_STEP
-        return grads
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        return keep(points, _spectral_values(stack, points, radius))
 
-    # the uniform point is always evaluated so a best exists at any budget
-    evaluate(np.full(k, 1.0 / k))
-    if stop_below is not None and best_val < stop_below:
-        return best_w, best_val, tracker
+    def stopped() -> bool:
+        return -tracker.best < stop_below
 
-    # vertices, then grid for small families, then random restarts
-    starts: list[np.ndarray] = [np.eye(k)[i] for i in range(k)]
-    grid_pts: list[np.ndarray] = []
+    uniform = np.full((1, k), 1.0 / k)
+    evaluate(uniform)
+    passes = [np.eye(k)]
     if k <= GRID_MAX_K:
-        for comp in _compositions(GRID_DENOM, k):
-            grid_pts.append(np.array(comp, dtype=np.float64) / GRID_DENOM)
-    for w in starts + grid_pts:
-        if not tracker.room():
-            break
-        evaluate(w)
-        if stop_below is not None and best_val < stop_below:
-            return best_w, best_val, tracker
+        passes.append(np.array(list(_compositions(GRID_DENOM, k))) / GRID_DENOM)
+    for points in passes:
+        if stopped():
+            return best_w, tracker
+        evaluate(points[: tracker.left()])
+
     rng = np.random.default_rng(seed)
-    for start in range(16):
-        if not tracker.room(k + 2):
+    w = np.vstack([uniform, sample_simplex_rows(rng, SPECTRAL_STARTS - 1, k)])
+    step = np.full(len(w), 0.25)
+    eye = np.eye(k)
+    live = np.arange(len(w))
+    for _ in range(ITERS_PER_START):
+        live = live[: tracker.left() // (k + 5)]
+        if not live.size or stopped():
             break
-        w = np.full(k, 1.0 / k) if start == 0 else sample_simplex_rows(rng, 1, k)[0]
-        fv = evaluate(w)
-        step = 0.25
-        for _ in range(ITERS_PER_START):
-            if stop_below is not None and fv < stop_below:
-                break
-            if not tracker.room(k + 4):
-                break
-            val, grad = gradient(w)
-            tracker.record(1, -val)
-            if grad is None:
-                grad = fd_grad(w, fv)
-            improved = False
-            for _ in range(4):
-                cand = project_to_simplex(w - step * grad)
-                if np.abs(cand - w).max() < 1e-14:
-                    break
-                fc = evaluate(cand)
-                if fc < fv - 1e-15:
-                    w, fv = cand, fc
-                    step = min(step * 1.6, 1.0)
-                    improved = True
-                    break
-                step *= 0.25
-            if not improved:
-                break
-        if stop_below is not None and best_val < stop_below:
+        x = w[live]
+        fx, grads, smooth = _spectral_gradients(stack, x, radius)
+        keep(x, fx)
+        if stopped():
             break
-    return best_w, best_val, tracker
+        rough = ~smooth
+        if rough.any():
+            probes = (x[rough, None, :] + SPECTRAL_FD_STEP * eye).reshape(-1, k)
+            fp = _spectral_values(stack, probes, radius).reshape(-1, k)
+            tracker.record(len(probes), -math.inf)
+            grads[rough] = (fp - fx[rough, None]) / SPECTRAL_FD_STEP
+        took, w_new, _, step_new = _line_search_round(
+            x, -fx, -grads, step[live], lambda p: -evaluate(p)
+        )
+        live = live[took]
+        w[live], step[live] = w_new, step_new
+    return best_w, tracker
 
 
 def minimize_spectral_radius(
@@ -529,21 +544,9 @@ def minimize_spectral_radius(
         elif float(m.as_array().min()) < 0.0:
             raise DomainError(f"matrix {idx} has a negative entry")
     stack = np.stack([m.as_array() for m in mats])
-    k = len(mats)
-
-    def objective(w: np.ndarray) -> float:
-        b = np.tensordot(w, stack, axes=(0, 0))
-        return float(np.max(np.abs(np.linalg.eigvals(b))))
-
-    def gradient(w: np.ndarray):
-        b = np.tensordot(w, stack, axes=(0, 0))
-        return _radius_gradient(stack, b)
-
-    best_w, _, _ = _descend_spectral(
-        stack, k, budget, seed, objective, gradient, stop_below=None
-    )
+    best_w, _ = _descend_spectral(stack, budget, seed, radius=True)
     point = SimplexPoint.from_floats(best_w)
-    return point, objective(point.to_floats())
+    return point, float(_spectral_values(stack, point.to_floats()[None], True)[0])
 
 
 def hurwitz_search(
@@ -551,28 +554,19 @@ def hurwitz_search(
 ) -> SearchOutcome:
     """Search for a Hurwitz-stable convex combination.
 
-    Descends on the spectral abscissa; FEASIBLE requires the certificate's
+    Descends on the spectral abscissa and stops after the first round whose
+    best value is below -tolerance; FEASIBLE requires the certificate's
     eigenvalues, recomputed from scratch, to all sit below -tolerance.
     Never INFEASIBLE.
     """
     mats = list(matrices)
     _validate_family(mats)
     stack = np.stack([m.as_array() for m in mats])
-    k = len(mats)
     tol = config.tolerance()
-
-    def objective(w: np.ndarray) -> float:
-        b = np.tensordot(w, stack, axes=(0, 0))
-        return float(np.max(np.linalg.eigvals(b).real))
-
-    def gradient(w: np.ndarray):
-        b = np.tensordot(w, stack, axes=(0, 0))
-        return _abscissa_gradient(stack, b)
-
-    best_w, best_val, tracker = _descend_spectral(
-        stack, k, budget, seed, objective, gradient, stop_below=-tol
+    best_w, tracker = _descend_spectral(
+        stack, budget, seed, radius=False, stop_below=-tol
     )
-    if best_w is not None and best_val < -tol:
+    if best_w is not None and -tracker.best < -tol:
         point = SimplexPoint.from_floats(best_w)
         combo = convex_combination(mats, point)
         abscissa = max(z.real for z in np.linalg.eigvals(combo.as_array()))
@@ -589,5 +583,5 @@ def hurwitz_search(
         None,
         tuple(tracker.trace),
         tracker.spent,
-        {"best_abscissa": float(best_val) if best_w is not None else math.inf},
+        {"best_abscissa": -tracker.best if best_w is not None else math.inf},
     )

@@ -87,6 +87,13 @@ class TestD16:
         assert v.status is Status.YES
         assert v.margin == math.inf
 
+    def test_near_real_test_is_scale_free(self):
+        # eigenvalues c(-1 +- 0.5i): never near-real, whatever the scale
+        base = np.array([[-1.0, 0.5], [-0.5, -1.0]])
+        verdicts = {check_d16(Matrix.float64(c * base)) for c in (1e-9, 1.0, 1e9)}
+        assert verdicts == {check_d16(Matrix.float64(base))}
+        assert check_d16(Matrix.float64(base)).margin == math.inf
+
 
 class TestN38:
     def test_yes_by_hand_inverse(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mpoly.search
 from mpoly import (
@@ -291,3 +292,85 @@ class TestHurwitzSearch:
         out = hurwitz_search(negated, budget=3000, seed=3)
         merits = [m for _, m in out.objective_trace]
         assert merits == sorted(merits)
+
+
+class TestSpectralDescent:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), gadget=st.booleans())
+    def test_batched_gradient_matches_forward_differences(self, seed, gadget):
+        # positive families have a simple Perron root; negated gadget
+        # families have a simple top eigenvalue at generic points
+        rng = np.random.default_rng(seed)
+        if gadget:
+            n = int(rng.integers(2, 8))
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                     if rng.random() < 0.4]
+            inst = build_instance(Graph.from_edges(n, edges), int(rng.integers(1, n + 1)))
+            stack = np.stack([-m.as_array() for m in inst.gadgets])
+        else:
+            k, d = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            stack = rng.uniform(0.05, 1.0, size=(k, d, d))
+        k = len(stack)
+        points = rng.dirichlet(np.ones(k), size=6)
+        radius = not gadget
+        values, grads, smooth = mpoly.search._spectral_gradients(stack, points, radius)
+        assert smooth.all()
+        assert np.array_equal(
+            values, mpoly.search._spectral_values(stack, points, radius)
+        )
+        h = mpoly.search.SPECTRAL_FD_STEP
+        for point, value, grad in zip(points, values, grads):
+            probes = point + h * np.eye(k)
+            fd = (mpoly.search._spectral_values(stack, probes, radius) - value) / h
+            assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
+
+    def test_doubled_top_eigenvalue_falls_back_and_keeps_budget(self):
+        # above w0 = w1 the top eigenvalue w0 + 2 w1 is doubled, so those rows
+        # take forward differences; nothing is Hurwitz, so every budget is used
+        family = [Matrix.float64(np.diag([1.0, 1.0, 2.0])),
+                  Matrix.float64(np.diag([2.0, 2.0, 1.0]))]
+        stack = np.stack([m.as_array() for m in family])
+        points = np.array([[0.25, 0.75], [0.75, 0.25]])
+        _, _, smooth = mpoly.search._spectral_gradients(stack, points, False)
+        assert smooth.tolist() == [False, True]
+        for budget in range(1, 601):
+            out = hurwitz_search(family, budget=budget, seed=0)
+            assert out.status is SearchStatus.UNKNOWN
+            assert out.budget_spent <= budget
+
+    def test_deterministic_given_seed(self):
+        parts = [p.to_float() for p in nonneg_parts(corpus.cycle(6), 2)]
+        assert minimize_spectral_radius(parts, seed=5) == \
+            minimize_spectral_radius(parts, seed=5)
+        negated = [-g.to_float() for g in build_instance(corpus.cycle(6), 2).gadgets]
+        a = hurwitz_search(negated, seed=5)
+        b = hurwitz_search(negated, seed=5)
+        assert a.status is SearchStatus.FEASIBLE
+        assert (a.certificate, a.margins, a.objective_trace, a.budget_spent) == \
+            (b.certificate, b.margins, b.objective_trace, b.budget_spent)
+        for budget in (40, 400):
+            a = hurwitz_search(negated, budget=budget, seed=5)
+            b = hurwitz_search(negated, budget=budget, seed=5)
+            assert a.to_json_dict() == b.to_json_dict()
+            assert a.objective_trace == b.objective_trace
+
+    def test_lowest_start_wins_a_tie(self, monkeypatch):
+        # diagonal family whose value is max(w.r, w.s) with s a swap of r
+        # (coordinates 0<->1 and 2<->3): low and its swap high tie at -1 in
+        # the first round; the vertices and the uniform point are not Hurwitz
+        r = np.array([1.0, -3.0, 1.0, -3.0, 4.0])
+        s = r[[1, 0, 3, 2, 4]]
+        family = [Matrix.float64(np.diag([r[m], s[m]])) for m in range(5)]
+        low = np.array([0.5, 0.25, 0.0, 0.25, 0.0])
+        high = low[[1, 0, 3, 2, 4]]
+        for first, second in ((low, high), (high, low)):
+            rows = np.array([np.full(5, 0.2)] * 15)
+            rows[1], rows[3] = first, second
+            monkeypatch.setattr(
+                mpoly.search, "sample_simplex_rows", lambda rng, count, k: rows[:count]
+            )
+            out = hurwitz_search(family, seed=0)
+            assert out.status is SearchStatus.FEASIBLE
+            assert out.certificate == SimplexPoint.from_floats(first)
+            assert out.margins == {"spectral_abscissa": -1.0}
+            assert out.budget_spent == 1 + 5 + 16
