@@ -399,7 +399,8 @@ def build_parser() -> _Parser:
         "--gap-tol",
         type=float,
         default=1e-6,
-        help="optimality-gap tolerance for the symmetric path",
+        help="symmetric path: FEASIBLE needs a smallest eigenvalue above it, "
+        "INFEASIBLE an upper bound below minus it",
     )
     _add_common(p, budget=True, seed=True, backing=True)
     p.set_defaults(func=cmd_search)

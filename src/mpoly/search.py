@@ -12,10 +12,13 @@ Four entry points:
 * :func:`search_symmetric` solves the symmetric case, which is concave:
   maximize the smallest eigenvalue over the simplex cut by the linear
   Z-sign constraints, using a cutting-plane scheme whose LP value is a
-  certified upper bound on the optimum. It may return INFEASIBLE.
+  certified upper bound on the optimum. It stops at the first certified
+  witness, so its margins are those at exit, not at the optimum. It may
+  return INFEASIBLE.
 * :func:`minimize_spectral_radius` descends on the spectral radius of a
   combination of nonnegative matrices (Perron left/right eigenvector
-  gradient when the radius is simple, finite differences otherwise).
+  gradient when the radius is simple, finite differences otherwise; one
+  eig plus one shifted solve per round).
 * :func:`hurwitz_search` descends on the spectral abscissa and certifies
   Hurwitz witnesses by re-computing eigenvalues.
 
@@ -272,6 +275,13 @@ def search_symmetric(
     cutting-plane relaxation gives certified upper bounds: FEASIBLE when a
     verified point exceeds `tolerance`, INFEASIBLE when the certified upper
     bound drops below `-tolerance`, UNKNOWN in the marginal band.
+
+    The vertices are scored first, then one LP point (and its snap to the
+    support) per cutting-plane round. Each new best Z point with smallest
+    eigenvalue above `tolerance` is certified at once, and the search stops
+    at the first that passes, so FEASIBLE does not wait for the gap to
+    close. The margins ``optimum_upper_bound`` (the last LP bound, inf
+    before the first LP) and ``best_lambda_min`` are taken at exit.
     """
     mats = list(matrices)
     dim = _validate_family(mats)
@@ -286,11 +296,11 @@ def search_symmetric(
     # LP-scale constraint slack); only these drive the optimality gap
     best_lower = -math.inf
     best_z_lam = -math.inf  # best among strictly Z-satisfying candidates
-    best_z_point: SimplexPoint | None = None
+    witness = None  # (point, certification report) of the first certified best
     LP_SLACK = 1e-7
 
     def lam_min(w: np.ndarray):
-        nonlocal best_lower, best_z_lam, best_z_point
+        nonlocal best_lower, best_z_lam, witness
         b = np.tensordot(w, stack, axes=(0, 0))
         vals, vecs = np.linalg.eigh(b)
         lam = float(vals[0])
@@ -302,16 +312,18 @@ def search_symmetric(
             best_lower = max(best_lower, lam)
         if violation <= Z_SLACK and lam > best_z_lam:
             best_z_lam = lam
-            best_z_point = SimplexPoint.from_floats(w)
+            if lam > tolerance:
+                point = SimplexPoint.from_floats(w)
+                report = certify(convex_combination(mats, point))
+                if report.is_z and report.consensus == CONSENSUS_YES:
+                    witness = point, report
         return lam, vecs[:, 0]
-
-    cuts: list[np.ndarray] = [np.eye(dim)[i] for i in range(dim)]
 
     # vertex seeding; lam_min only counts vertices whose matrix satisfies the
     # Z constraints, since other vertices sit outside the feasible polytope
-    for i in range(k):
-        w = np.zeros(k)
-        w[i] = 1.0
+    for w in np.eye(k):
+        if witness is not None:
+            break
         lam_min(w)
 
     c = np.zeros(k + 1)
@@ -321,23 +333,22 @@ def search_symmetric(
     b_eq = np.array([1.0])
     bounds = [(0.0, 1.0)] * k + [(None, None)]
 
-    offdiag_rows = []
-    for i in range(dim):
-        for jdx in range(i + 1, dim):
-            offdiag_rows.append(list(stack[:, i, jdx]) + [0.0])
+    # rows of A_ub . (w, t) <= 0: every off-diagonal entry of the combination,
+    # then one cut t <= v' B(w) v per vector v, starting from the unit vectors
+    iu, ju = np.triu_indices(dim, 1)
+    a_ub = np.vstack([
+        np.column_stack([stack[:, iu, ju].T, np.zeros(len(iu))]),
+        np.column_stack([-np.diagonal(stack, axis1=1, axis2=2).T, np.ones(dim)]),
+    ])
 
     upper = math.inf
     for _ in range(100):
-        a_ub = list(offdiag_rows)
-        b_ub = [0.0] * len(offdiag_rows)
-        for v in cuts:
-            quad = stack @ v @ v  # (k,) of v' A_m v
-            a_ub.append(list(-quad) + [1.0])
-            b_ub.append(0.0)
+        if witness is not None:
+            break
         res = linprog(
             c,
-            A_ub=np.array(a_ub),
-            b_ub=np.array(b_ub),
+            A_ub=a_ub,
+            b_ub=np.zeros(len(a_ub)),
             A_eq=a_eq,
             b_eq=b_eq,
             bounds=bounds,
@@ -359,9 +370,13 @@ def search_symmetric(
         w = np.maximum(res.x[:k], 0.0)
         w = w / w.sum()
         _, vec = lam_min(w)
-        cuts.append(vec)
+        a_ub = np.vstack([a_ub, np.append(-(stack @ vec @ vec), 1.0)])
         snapped = np.where(w < 1e-9, 0.0, w)
-        if snapped.sum() > 0 and not np.array_equal(snapped, w):
+        if (
+            witness is None
+            and snapped.sum() > 0
+            and not np.array_equal(snapped, w)
+        ):
             lam_min(snapped / snapped.sum())
         if upper < -tolerance:
             break
@@ -369,22 +384,16 @@ def search_symmetric(
             break
 
     margins = {"optimum_upper_bound": upper, "best_lambda_min": best_z_lam}
+    if witness is not None:
+        point, report = witness
+        margins.update(report.margins)
+        return SearchOutcome(
+            SearchStatus.FEASIBLE, point, tuple(tracker.trace), tracker.spent, margins
+        )
     if upper < -tolerance:
         return SearchOutcome(
             SearchStatus.INFEASIBLE, None, tuple(tracker.trace), tracker.spent, margins
         )
-    if best_z_lam > tolerance and best_z_point is not None:
-        combo = convex_combination(mats, best_z_point)
-        report = certify(combo)
-        if report.is_z and report.consensus == CONSENSUS_YES:
-            margins.update(report.margins)
-            return SearchOutcome(
-                SearchStatus.FEASIBLE,
-                best_z_point,
-                tuple(tracker.trace),
-                tracker.spent,
-                margins,
-            )
     return SearchOutcome(
         SearchStatus.UNKNOWN, None, tuple(tracker.trace), tracker.spent, margins
     )
@@ -428,20 +437,43 @@ def _spectral_gradients(stack: np.ndarray, points: np.ndarray, radius: bool):
 
     A simple eigenvalue lam with right vector v and left vector u has
     d lam / d w_m = u' A_m v / u'v; its real part is the gradient of the
-    radius or abscissa. A row's gradient holds only where its value is
-    smooth, the transposed combination has an eigenvalue within 1e-6 of
-    lam, and |u'v| >= 1e-10.
+    radius or abscissa. One batched eig gives lam and v; u is one step of
+    shifted inverse iteration started from v, a batched solve of
+    (A' - (lam + eta) I) u = v over the smooth rows, scaled to
+    max |u_i| = 1. The shift eta is 1e-9 times the smaller of max |A_ij|
+    and the distance from lam to the nearest other eigenvalue, so that the
+    other left vectors stay out of u on badly balanced matrices, whose
+    eigenvalue gaps can be far below max |A_ij|. A row's gradient holds
+    only where its value is smooth, lam + eta differs from lam, u is
+    finite and nonzero, ||u'A - lam u'||_inf <= 1e-6 max |A_ij|, and
+    |u'v| >= 1e-10. If the solve finds a singular matrix, no row holds.
     """
     combos = np.tensordot(points, stack, axes=(1, 0))
     rows = np.arange(len(points))
     vals, right = np.linalg.eig(combos)
     top, value, smooth = _top_eigenvalues(vals, radius)
     lam = vals[rows, top]
-    vals_t, left = np.linalg.eig(combos.transpose(0, 2, 1))
-    match = np.abs(vals_t - lam[:, None]).argmin(axis=1)
-    u, v = left[rows, :, match], right[rows, :, top]
+    v = right[rows, :, top]
+    scale = np.abs(combos).max(axis=(1, 2))
+    dist = np.abs(vals - lam[:, None])
+    dist[rows, top] = scale  # so the minimum is at most max |A_ij|
+    sigma = lam + 1e-9 * dist.min(axis=1)
+    solved = smooth & (sigma != lam)  # a shift lost to rounding is no shift
+    shifted = combos[solved].transpose(0, 2, 1) - (
+        sigma[solved, None, None] * np.eye(combos.shape[1])
+    )
+    u = np.zeros_like(v)
+    try:
+        u[solved] = np.linalg.solve(shifted, v[solved, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    size = np.abs(u).max(axis=1)
+    usable = np.isfinite(size) & (size > 0.0)
+    u[~usable] = 0.0
+    u[usable] /= size[usable, None]
+    residual = np.abs(np.einsum("si,sij->sj", u, combos) - lam[:, None] * u)
     denom = (u * v).sum(axis=1)
-    smooth &= np.abs(vals_t[rows, match] - lam) <= 1e-6
+    smooth &= usable & (residual.max(axis=1) <= 1e-6 * scale)
     smooth &= np.abs(denom) >= 1e-10
     denom[~smooth] = 1.0
     grads = np.einsum("si,mij,sj->sm", u, stack, v) / denom[:, None]
@@ -460,12 +492,14 @@ def _descend_spectral(
     The uniform point, the vertices and (for k <= 4) the 1/8 grid are each
     evaluated as one batch. Then 16 starts (the uniform point, then
     Dirichlet draws from ``default_rng(seed)``) descend in lockstep rounds:
-    one batched eig for each live start's value and right eigenvector, one
-    on the transposed stack for the left ones, one eigvals batch of
-    forward-difference probes for the rows whose analytic gradient is gated
-    off, and the general search's line-search round on the negated value.
-    A start stops after a round without improvement or ITERS_PER_START
-    rounds. A round admits only the live starts whose k + 5 evaluations fit
+    one batched eig and one batched solve for each live start's value and
+    right and left eigenvectors, one eigvals batch of forward-difference
+    probes for the rows whose analytic gradient is gated off, and the
+    general search's line-search round on the negated value. A start stops
+    after a round without improvement or ITERS_PER_START rounds. The eig
+    counts as an evaluation only for a start whose point no earlier batch
+    scored: the drawn starts in their first round. A round admits only the
+    live starts whose k + 4 evaluations (k + 5 for an unscored start) fit
     in the budget left, so ``budget_spent <= budget`` for any budget >= 1
     (the uniform point is always evaluated, so a best exists). The descent
     stops once the best value is below ``stop_below``. The best is kept
@@ -476,13 +510,13 @@ def _descend_spectral(
     tracker = _Tracker(budget)
     best_w: np.ndarray | None = None
 
-    def keep(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    def keep(points: np.ndarray, vals: np.ndarray, count: int | None = None):
         nonlocal best_w
         if len(vals):
             i = int(np.argmin(vals))  # the lowest index among ties
             if -vals[i] > tracker.best:
                 best_w = points[i].copy()
-            tracker.record(len(points), -float(vals[i]))
+            tracker.record(len(points) if count is None else count, -float(vals[i]))
         return vals
 
     def evaluate(points: np.ndarray) -> np.ndarray:
@@ -504,15 +538,17 @@ def _descend_spectral(
     rng = np.random.default_rng(seed)
     w = np.vstack([uniform, sample_simplex_rows(rng, SPECTRAL_STARTS - 1, k)])
     step = np.full(len(w), 0.25)
+    scored = np.arange(len(w)) == 0  # the uniform pass scored start 0
     eye = np.eye(k)
     live = np.arange(len(w))
     for _ in range(ITERS_PER_START):
-        live = live[: tracker.left() // (k + 5)]
+        live = live[np.cumsum(k + 4 + ~scored[live]) <= tracker.left()]
         if not live.size or stopped():
             break
         x = w[live]
         fx, grads, smooth = _spectral_gradients(stack, x, radius)
-        keep(x, fx)
+        keep(x, fx, int((~scored[live]).sum()))
+        scored[live] = True
         if stopped():
             break
         rough = ~smooth

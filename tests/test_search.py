@@ -1,5 +1,7 @@
 """Polytope feasibility searches: general, symmetric, radius, Hurwitz."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,18 @@ def planted_symmetric_family(rng, dim=5, k=3):
     where = int(rng.integers(0, k))
     family = others[:where] + [planted] + others[where:]
     return family, where
+
+
+def shifted_symmetric_family(rng, dim=12, k=4):
+    """k symmetric vertices s I - N, N >= 0, each just below the M-matrix
+    boundary (s = rho(N) U(0.96, 1)), so only mixtures can cross it."""
+    family = []
+    for _ in range(k):
+        raw = rng.random((dim, dim)) * rng.integers(0, 2, size=(dim, dim))
+        nonneg = (raw + raw.T) / 2
+        shift = spectral_radius(Matrix.float64(nonneg)) * rng.uniform(0.96, 1.0)
+        family.append(Matrix.float64(shift * np.eye(dim) - nonneg))
+    return family
 
 
 def negative_definite_family(rng, dim=4, k=3):
@@ -218,6 +232,31 @@ class TestSearchSymmetric:
         with pytest.raises(NotSymmetric):
             search_symmetric([Matrix.float64([[0, 1], [0, 0]])])
 
+    def test_shifted_families_stop_at_first_witness(self, monkeypatch):
+        # the gap between the first certified witness and the optimum takes
+        # 20 to 40 cutting planes to close; none of those rounds is needed
+        real = mpoly.search.linprog
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mpoly.search, "linprog", counted)
+        per_family = []
+        for seed in range(6):
+            family = shifted_symmetric_family(np.random.default_rng(seed))
+            calls.clear()
+            out = search_symmetric(family, tolerance=1e-6)
+            per_family.append(len(calls))
+            assert out.status is SearchStatus.FEASIBLE
+            combo = convex_combination(family, out.certificate)
+            assert certify(combo).consensus == "YES"
+            margins = out.margins
+            assert margins["best_lambda_min"] > 1e-6
+            assert margins["optimum_upper_bound"] >= margins["best_lambda_min"]
+        assert max(per_family) <= 3
+
     def test_subsumes_general_search_on_symmetric_families(self):
         rng = np.random.default_rng(41)
         agreements = 0
@@ -324,6 +363,63 @@ class TestSpectralDescent:
             fd = (mpoly.search._spectral_values(stack, probes, radius) - value) / h
             assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
+    @staticmethod
+    def _gradients_quietly(stack, points, radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return mpoly.search._spectral_gradients(stack, points, radius)
+
+    @staticmethod
+    def _assert_matches_forward_differences(stack, points, radius, values, grads):
+        h = mpoly.search.SPECTRAL_FD_STEP
+        for point, value, grad in zip(points, values, grads):
+            probes = point + h * np.eye(len(stack))
+            fd = (mpoly.search._spectral_values(stack, probes, radius) - value) / h
+            assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
+
+    def test_degenerate_rows_are_gated_without_warnings(self):
+        rng = np.random.default_rng(3)
+        points = np.vstack([np.eye(2), rng.dirichlet(np.ones(2), size=4)])
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+        # a 4 x 4 Jordan block in a rotated basis: eig splits its eigenvalue
+        # by about 1e-4, but its left and right vectors stay orthogonal
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        rotated = q @ (np.eye(4) + np.eye(4, k=1)) @ q.T
+        for stack in (np.zeros((2, 3, 3)), np.stack([jordan, np.eye(2)]),
+                      np.stack([rotated, rotated])):
+            for radius in (True, False):
+                _, _, smooth = self._gradients_quietly(stack, points, radius)
+                assert not smooth.any()
+
+    def test_perron_rows_match_forward_differences_and_ties_are_gated(self):
+        # at j = 1 the radius of every combination of the parts is repeated
+        rng = np.random.default_rng(5)
+        for j in (1, 2):
+            stack = np.stack([p.to_float().as_array()
+                              for p in nonneg_parts(corpus.cycle(6), j)])
+            k = len(stack)
+            points = np.vstack([np.eye(k), np.full((1, k), 1 / k),
+                                rng.dirichlet(np.ones(k), size=6)])
+            values, grads, smooth = self._gradients_quietly(stack, points, True)
+            combos = np.tensordot(points, stack, axes=(1, 0))
+            moduli = np.sort(np.abs(np.linalg.eigvals(combos)), axis=1)
+            simple = moduli[:, -1] - moduli[:, -2] > mpoly.search.EIG_GAP
+            assert smooth.tolist() == simple.tolist()
+            assert smooth.any() == (j == 2)
+            self._assert_matches_forward_differences(
+                stack, points[smooth], True, values[smooth], grads[smooth]
+            )
+
+    def test_badly_balanced_family_keeps_its_gradient(self):
+        # D B D^-1 with D = diag(1e5, 1e-5): the eigenvalues are those of B,
+        # O(1) apart, while max |A_ij| is about 1e10
+        d, d_inv = np.diag([1e5, 1e-5]), np.diag([1e-5, 1e5])
+        stack = np.stack([d @ b @ d_inv for b in (np.ones((2, 2)), np.diag([2.0, 1.0]))])
+        points = np.array([[0.5, 0.5], [0.9, 0.1]])
+        values, grads, smooth = self._gradients_quietly(stack, points, False)
+        assert smooth.all()
+        self._assert_matches_forward_differences(stack, points, False, values, grads)
+
     def test_doubled_top_eigenvalue_falls_back_and_keeps_budget(self):
         # above w0 = w1 the top eigenvalue w0 + 2 w1 is doubled, so those rows
         # take forward differences; nothing is Hurwitz, so every budget is used
@@ -373,4 +469,6 @@ class TestSpectralDescent:
             assert out.status is SearchStatus.FEASIBLE
             assert out.certificate == SimplexPoint.from_floats(first)
             assert out.margins == {"spectral_abscissa": -1.0}
-            assert out.budget_spent == 1 + 5 + 16
+            # uniform pass, vertices, then the first round's eig of the 15
+            # drawn starts: the uniform pass already scored start 0
+            assert out.budget_spent == 1 + 5 + 15
