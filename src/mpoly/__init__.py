@@ -48,7 +48,9 @@ from .oracle import (
     IndependentSetResult,
     MSolveResult,
     alpha_lower_bound,
+    clique_cover,
     extract_independent_set,
+    is_clique_cover,
     max_independent_set,
     motzkin_straus_min,
 )
@@ -60,6 +62,7 @@ from .reduction import (
     decide_with_alpha,
     det_closed_form,
     feasible_by_det,
+    instance_graph,
     nonneg_parts,
     parse_graph,
     quadratic_form,

@@ -5,7 +5,8 @@ hurwitz-search, pipeline. Structured output is JSON (--json); the default is
 a short human summary. Exit codes: searches use 0 FEASIBLE, 1 INFEASIBLE,
 2 UNKNOWN; certify uses 0 YES, 1 NO, 2 MARGINAL or DISAGREE; 64 usage
 error, 65 malformed input; pipeline reserves 70 for a soundness violation
-(search said FEASIBLE but the oracle says the instance is infeasible).
+(search said FEASIBLE but the oracle says the instance is infeasible, or
+INFEASIBLE but the oracle says it is feasible).
 
 Seeds default to 0, never to entropy; identical arguments give byte
 identical JSON output. The MPOLY_TOL environment variable overrides the
@@ -274,8 +275,9 @@ def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
     """Reduce, search, then compare against the brute-force oracle.
 
     Returns a report dict with an ``exit_code`` field: 70 flags a soundness
-    violation (search found a witness although alpha <= j), 2 an honest
-    completeness miss, 0 agreement.
+    violation (search found a witness although alpha <= j, or answered
+    INFEASIBLE although alpha > j), 2 an honest completeness miss (UNKNOWN
+    although alpha > j), 0 agreement.
     """
     if graph.n > PIPELINE_MAX_VERTICES:
         raise DomainError(
@@ -285,10 +287,12 @@ def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
     outcome = search_general(instance.gadgets, budget=budget, seed=seed)
     oracle = max_independent_set(graph)
     truly_feasible = oracle.alpha > j
-    found = outcome.status is SearchStatus.FEASIBLE
-    if found and not truly_feasible:
+    status = outcome.status
+    if status is SearchStatus.FEASIBLE and not truly_feasible:
         verdict, code = "DISAGREE", EX_SOUNDNESS
-    elif not found and truly_feasible:
+    elif status is SearchStatus.INFEASIBLE and truly_feasible:
+        verdict, code = "DISAGREE", EX_SOUNDNESS
+    elif status is SearchStatus.UNKNOWN and truly_feasible:
         verdict, code = "DISAGREE", 2
     else:
         verdict, code = "AGREE", 0
@@ -392,7 +396,11 @@ def build_parser() -> _Parser:
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_ms_solve)
 
-    p = subs.add_parser("search", help="search for an M-matrix combination")
+    p = subs.add_parser(
+        "search",
+        help="search for an M-matrix combination; an exact gadget family is "
+        "INFEASIBLE when a partition into at most j cliques re-checks",
+    )
     p.add_argument("matrices")
     p.add_argument("--symmetric", action="store_true", help="certified convex path")
     p.add_argument(

@@ -1,6 +1,8 @@
 """Ground-truth graph machinery.
 
-Exact maximum independent set by budgeted branch and bound, and a
+Exact maximum independent set by budgeted branch and bound, a capped
+search for a partition of the vertices into at most j cliques (which
+proves alpha <= j) with an independent exact checker, and a
 multi-start projected-gradient minimizer for the quadratic form
 y' (I + C) y over the probability simplex, whose global minimum equals
 1/alpha(G). Each round of the minimizer searches exactly along the
@@ -24,6 +26,8 @@ from .simplex import SimplexPoint, project_rows_to_simplex, sample_simplex_rows
 MAX_EXACT_VERTICES = 30
 DEFAULT_NODE_BUDGET = 100_000_000
 STATIONARITY_TOL = 1e-10
+# nodes the clique-cover search may visit before it gives up undecided
+CLIQUE_COVER_NODE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,109 @@ def max_independent_set(
         walk(full, 0, 0)
     witness = frozenset(v for v in range(n) if best_mask >> v & 1)
     return IndependentSetResult(alpha=best, witness=witness, node_count=nodes)
+
+
+def clique_cover(g: Graph, j: int) -> tuple[tuple[int, ...], ...] | None:
+    """A partition of the vertices of g into at most j cliques, or None.
+
+    A vertex set independent in g meets every clique at most once, so when
+    the greedy independent set of ``_greedy_seed`` has more than j vertices
+    no such partition exists and the search is skipped. Otherwise each
+    vertex of that set opens its own part, which breaks the symmetry
+    between parts, and a backtracking search over neighbour masks places
+    the rest: a vertex that no part can take opens a new one, and otherwise
+    the vertex with the fewest parts to join is tried in each of them, then
+    in a new part. None also when no partition exists or when the search
+    visits more than CLIQUE_COVER_NODE_CAP nodes. Parts are sorted tuples,
+    ordered by their smallest vertex. Check a result with
+    :func:`is_clique_cover`.
+    """
+    n = g.n
+    masks = g.neighbor_masks()
+    seed = _greedy_seed(masks, n)
+    seeds = [v for v in range(n) if seed >> v & 1]
+    if len(seeds) > j:
+        return None
+    members = [1 << v for v in seeds]
+    # joinable[p]: the vertices adjacent to every member of part p
+    joinable = [masks[v] for v in seeds]
+    nodes = 0
+
+    def extend(uncovered: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > CLIQUE_COVER_NODE_CAP:
+            return False
+        if not uncovered:
+            return True
+        reach = 0
+        for can in joinable:
+            reach |= can
+        lonely = uncovered & ~reach
+        if lonely:
+            v = (lonely & -lonely).bit_length() - 1
+            options = []
+        else:
+            # the fewest parts to join, ties to the lowest vertex; every
+            # vertex has at least one, so the first with one ends the scan
+            v, options = -1, None
+            rest = uncovered
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                parts = [p for p, can in enumerate(joinable) if can >> u & 1]
+                if options is None or len(parts) < len(options):
+                    v, options = u, parts
+                    if len(parts) == 1:
+                        break
+        bit = 1 << v
+        for p in options:
+            was = joinable[p]
+            members[p] |= bit
+            joinable[p] = was & masks[v]
+            if extend(uncovered & ~bit):
+                return True
+            members[p] &= ~bit
+            joinable[p] = was
+        if len(members) < j:
+            members.append(bit)
+            joinable.append(masks[v])
+            if extend(uncovered & ~bit):
+                return True
+            members.pop()
+            joinable.pop()
+        return False
+
+    if not extend(((1 << n) - 1) & ~seed):
+        return None
+    return tuple(sorted(
+        tuple(v for v in range(n) if mask >> v & 1) for mask in members
+    ))
+
+
+def is_clique_cover(g: Graph, parts, j: int) -> bool:
+    """True when `parts` partition the vertices of g into at most j cliques.
+
+    Checks, in O(n^2) and independently of :func:`clique_cover`, that there
+    are at most j parts, that every vertex of g lies in exactly one part,
+    and that the vertices of each part are pairwise adjacent. Such a
+    partition proves alpha(G) <= j, and for the gadget family at threshold
+    j it proves that no convex combination is a nonsingular M-matrix: by
+    Cauchy-Schwarz pi'(I + C)pi >= sum over parts K of pi(K)^2 >= 1/j, so
+    det B(pi) = 1/j - pi'(I + C)pi <= 0.
+    """
+    if len(parts) > j:
+        return False
+    seen = [False] * g.n
+    for part in parts:
+        part = list(part)
+        for a, u in enumerate(part):
+            if not 0 <= u < g.n or seen[u]:
+                return False
+            seen[u] = True
+            if not all(g.has_edge(u, w) for w in part[:a]):
+                return False
+    return all(seen)
 
 
 @dataclass(frozen=True)

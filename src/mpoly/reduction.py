@@ -166,6 +166,31 @@ def build_instance(g: Graph, j: int) -> ReductionInstance:
     return ReductionInstance(source=g, j=j, gadgets=tuple(gadgets))
 
 
+def instance_graph(matrices: Sequence[Matrix]) -> tuple[Graph, int] | None:
+    """(G, j) when `matrices` is exactly ``build_instance(G, j).gadgets``.
+
+    Reads j from the corner 1/j of the first matrix and G from the last
+    column of each, where matrix i holds -(e_i + c_i), then rebuilds the
+    family and compares it with ``==``, so any other family (float backing,
+    a perturbed entry, a corner that is not 1/j, k != n) gives None.
+    """
+    mats = list(matrices)
+    n = len(mats)
+    if not n or not all(m.is_exact and m.n == n + 1 for m in mats):
+        return None
+    corner = mats[0].entry(n, n)
+    if corner.numerator != 1 or not 1 <= corner.denominator <= n:
+        return None
+    g = Graph.from_edges(
+        n, [(i, r) for i, m in enumerate(mats) for r in range(i + 1, n)
+            if m.entry(r, n) == -1]
+    )
+    j = corner.denominator
+    if build_instance(g, j).gadgets != tuple(mats):
+        return None
+    return g, j
+
+
 def nonneg_parts(g: Graph, j: int) -> list[Matrix]:
     """Entrywise nonnegative parts N_i with gadget_i = I - N_i exactly."""
     _check_threshold(g, j)

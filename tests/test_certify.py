@@ -1,12 +1,14 @@
 """Five-way M-matrix certification and its cross-validation lattice."""
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mpoly import (
+    DEFAULT_TOLERANCE,
     CertificationReport,
     DomainError,
     Matrix,
@@ -19,7 +21,9 @@ from mpoly import (
     check_rho_split,
     eigenvalues,
     schur_complement,
+    set_tolerance,
     spectral_radius,
+    tolerance,
 )
 
 CONDITION_NAMES = {"E17", "D16", "N38", "POS_STABLE", "RHO_SPLIT"}
@@ -269,3 +273,28 @@ class TestEquivalenceLattice:
             assert max(z.real for z in eigenvalues(-m.to_float())) < 0
             seen += 1
         assert seen > 40
+
+
+class TestTolerance:
+    def test_threads_read_their_own_tolerance(self):
+        both_set = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def worker(value):
+            set_tolerance(value)
+            both_set.wait()  # each reads only after the other has set
+            seen[value] = tolerance()
+
+        threads = [threading.Thread(target=worker, args=(v,)) for v in (1e-3, 1e-6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert seen == {1e-3: 1e-3, 1e-6: 1e-6}
+        assert tolerance() == DEFAULT_TOLERANCE
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            set_tolerance(0.0)
+        assert tolerance() == DEFAULT_TOLERANCE

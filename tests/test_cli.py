@@ -8,7 +8,14 @@ import sys
 
 import pytest
 
-from mpoly import build_instance, parse_graph
+import mpoly.cli
+from mpoly import (
+    SearchOutcome,
+    SearchStatus,
+    build_instance,
+    is_clique_cover,
+    parse_graph,
+)
 from mpoly.cli import run_pipeline
 from mpoly.linalg import matrices_to_json
 
@@ -197,11 +204,21 @@ class TestSearchCommands:
         assert payload["budget_spent"] > 0
 
     def test_search_unknown_exit_two(self, workspace, tmp_path):
+        # the float copy is not recognised as a gadget family; the exact
+        # family is, and K3 is one clique
         inst = tmp_path / "inst.json"
         mpoly_cmd("reduce", str(workspace / "k3.col"), "1", "-o", str(inst))
-        res = mpoly_cmd("search", str(inst), "--json", "--budget", "3000")
+        res = mpoly_cmd("search", str(inst), "--float", "--json", "--budget", "3000")
         assert res.returncode == 2
         assert json.loads(res.stdout)["status"] == "UNKNOWN"
+        res = mpoly_cmd("search", str(inst), "--json", "--budget", "3000")
+        assert res.returncode == 1
+        payload = json.loads(res.stdout)
+        assert payload["status"] == "INFEASIBLE"
+        assert payload["budget_spent"] == 0
+        assert payload["clique_cover"] == [[1, 2, 3]]
+        cover = [[v - 1 for v in part] for part in payload["clique_cover"]]
+        assert is_clique_cover(parse_graph(K3_TEXT), cover, 1)
 
     def test_search_exact_flag_gives_exact_certificate(self, tmp_path):
         path = tmp_path / "family.json"
@@ -283,6 +300,22 @@ class TestPipelineCommand:
         assert report["verdict"] == "AGREE"
         assert report["exit_code"] == 0
         assert report["alpha"] == 2
+
+    def test_k3_j1_certified_infeasible(self):
+        report = run_pipeline(corpus.complete(3), 1)
+        assert report["verdict"] == "AGREE"
+        assert report["search"]["status"] == "INFEASIBLE"
+        assert report["search"]["clique_cover"] == [[1, 2, 3]]
+
+    def test_infeasible_on_feasible_instance_is_soundness_violation(self, monkeypatch):
+        infeasible = SearchOutcome(SearchStatus.INFEASIBLE, None, (), 0)
+        monkeypatch.setattr(
+            mpoly.cli, "search_general", lambda mats, budget, seed: infeasible
+        )
+        report = run_pipeline(corpus.cycle(5), 1)
+        assert report["truly_feasible"] is True
+        assert report["verdict"] == "DISAGREE"
+        assert report["exit_code"] == 70
 
     def test_oversized_graph_usage_error(self, tmp_path):
         path = tmp_path / "big.col"

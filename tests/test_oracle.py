@@ -1,6 +1,7 @@
 """Brute-force independent sets and the simplex quadratic-form minimizer."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from mpoly import (
     Graph,
     SimplexPoint,
     alpha_lower_bound,
+    clique_cover,
     extract_independent_set,
+    is_clique_cover,
     max_independent_set,
     motzkin_straus_min,
     quadratic_form,
     witness_from_independent_set,
 )
+import mpoly.oracle
 from mpoly.oracle import MSolveResult, _forms, _ms_round
 from mpoly.simplex import sample_simplex_rows
 
@@ -82,6 +86,61 @@ class TestMaxIndependentSet:
     def test_size_cap(self):
         with pytest.raises(DomainError):
             max_independent_set(corpus.empty(31))
+
+
+def cover_number(g: Graph) -> int:
+    """Fewest cliques that partition the vertices, by brute force."""
+    for t in range(1, g.n + 1):
+        for part in product(range(t), repeat=g.n):
+            if all(g.has_edge(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                   if part[u] == part[v]):
+                return t
+    raise AssertionError("singletons always partition the vertices")
+
+
+class TestCliqueCover:
+    # C5 = 0-1-2-3-4-0: alpha 2, but 3 cliques are needed
+    C5_COVER = ((0, 1), (2, 3), (4,))
+
+    def test_known_graphs(self):
+        c5 = corpus.cycle(5)
+        assert clique_cover(c5, 2) is None
+        assert is_clique_cover(c5, clique_cover(c5, 3), 3)
+        assert clique_cover(corpus.complete(4), 1) == ((0, 1, 2, 3),)
+        assert clique_cover(corpus.empty(4), 3) is None
+        assert clique_cover(corpus.empty(4), 4) == ((0,), (1,), (2,), (3,))
+        assert clique_cover(corpus.petersen(), 4) is None
+        assert is_clique_cover(corpus.petersen(), clique_cover(corpus.petersen(), 5), 5)
+
+    def test_matches_brute_force_cover_number(self):
+        for g in corpus.small_graphs(5) + corpus.gnp_samples((6,), 15):
+            theta = cover_number(g)
+            for j in range(1, g.n + 1):
+                cover = clique_cover(g, j)
+                assert (cover is not None) == (j >= theta), (g, j)
+                if cover is not None:
+                    assert is_clique_cover(g, cover, j)
+                    assert list(cover) == sorted(cover)
+
+    def test_node_cap_gives_none(self, monkeypatch):
+        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 1)
+        assert clique_cover(corpus.cycle(5), 3) is None
+
+    def test_checker_accepts_a_valid_cover(self):
+        assert is_clique_cover(corpus.cycle(5), self.C5_COVER, 3)
+        assert is_clique_cover(corpus.cycle(5), [list(p) for p in self.C5_COVER], 4)
+
+    # each mutation breaks one clause of the checker and keeps the others
+    @pytest.mark.parametrize("parts, j", [
+        (((0, 1), (2, 3)), 3),  # vertex 4 dropped
+        (((0, 1), (2, 3), (4, 0)), 3),  # vertex 0 twice; 4-0 is an edge
+        (((0, 2), (1,), (3, 4)), 3),  # 0 and 2 are not adjacent
+        (C5_COVER, 2),  # three parts for j = 2
+        (((0, 1), (2,), (3,), (4,)), 3),  # four parts for j = 3
+        (((0, 1), (2, 3), (4,), (5,)), 4),  # vertex 5 is not in the graph
+    ])
+    def test_checker_rejects_mutations(self, parts, j):
+        assert not is_clique_cover(corpus.cycle(5), parts, j)
 
 
 class TestMotzkinStrausMin:

@@ -18,6 +18,7 @@ from mpoly import (
     det,
     det_closed_form,
     feasible_by_det,
+    instance_graph,
     is_z_matrix,
     leading_principal_minors,
     max_independent_set,
@@ -29,7 +30,7 @@ from mpoly import (
     witness_from_independent_set,
     write_graph,
 )
-from mpoly.linalg import matrices_to_json
+from mpoly.linalg import matrices_from_json, matrices_to_json
 
 import corpus
 
@@ -139,6 +140,41 @@ class TestBuildInstance:
         assert sizes[8] / sizes[4] < 5.0
         assert sizes[16] / sizes[8] < 5.0
         assert sizes[32] / sizes[16] < 5.0
+
+
+class TestInstanceGraph:
+    def test_recognises_every_small_instance(self):
+        for g in corpus.small_graphs(5):
+            for j in range(1, g.n + 1):
+                assert instance_graph(build_instance(g, j).gadgets) == (g, j)
+
+    def test_recognises_a_json_round_trip(self):
+        gadgets = build_instance(C5, 2).gadgets
+        assert instance_graph(matrices_from_json(matrices_to_json(gadgets))) == (C5, 2)
+
+    def test_rejects_families_one_step_away(self):
+        gadgets = list(build_instance(C5, 2).gadgets)
+
+        def changed(i, r, c, value):
+            rows = [list(row) for row in gadgets[i].rows()]
+            rows[r][c] = value
+            return gadgets[:i] + [Matrix.exact(rows)] + gadgets[i + 1:]
+
+        assert instance_graph([m.to_float() for m in gadgets]) is None
+        # entries move by 1/den = 1/2
+        assert instance_graph(changed(0, 1, 1, Fraction(3, 2))) is None
+        assert instance_graph(changed(4, 2, 5, Fraction(-1, 2))) is None
+        # the corner is read from the first matrix only
+        for i in range(5):
+            assert instance_graph(changed(i, 5, 5, Fraction(1, 3))) is None
+        assert instance_graph(changed(0, 5, 5, Fraction(2, 3))) is None
+        # vertex 0 claims neighbour 2 (read from matrix 0), matrix 2 does not
+        assert instance_graph(changed(0, 2, 5, -1)) is None
+        # vertex 4 claims neighbour 2 (not read), matrix 2 does not
+        assert instance_graph(changed(4, 2, 5, -1)) is None
+        assert instance_graph(gadgets[:4]) is None
+        assert instance_graph(gadgets + [gadgets[0]]) is None
+        assert instance_graph([]) is None
 
 
 class TestConvexCombination:

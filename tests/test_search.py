@@ -1,6 +1,7 @@
 """Polytope feasibility searches: general, symmetric, radius, Hurwitz."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mpoly import (
     det_closed_form,
     eigenvalues,
     hurwitz_search,
+    is_clique_cover,
     max_independent_set,
     minimize_spectral_radius,
     nonneg_parts,
@@ -82,16 +84,27 @@ class TestSearchGeneral:
         assert det_closed_form(corpus.empty(2), 1, out.certificate) > 0
 
     def test_truly_infeasible_instance_stays_unknown(self):
-        # single edge with j = 1: the determinant is identically zero
-        inst = build_instance(corpus.complete(2), 1)
-        out = search_general(inst.gadgets, budget=5000, seed=0)
+        # single edge with j = 1: the determinant is identically zero; the
+        # float copy is not recognised as a gadget family, so it stays UNKNOWN
+        g = corpus.complete(2)
+        inst = build_instance(g, 1)
+        out = search_general([m.to_float() for m in inst.gadgets], budget=5000, seed=0)
         assert out.status is SearchStatus.UNKNOWN
         assert out.certificate is None
+        exact = search_general(inst.gadgets, budget=5000, seed=0)
+        assert exact.status is SearchStatus.INFEASIBLE
+        assert exact.certificate is None
+        assert is_clique_cover(g, exact.clique_cover, 1)
 
     def test_never_infeasible(self):
-        inst = build_instance(corpus.complete(3), 2)
-        out = search_general(inst.gadgets, budget=2000, seed=1)
+        # off the exact gadget path the search never answers INFEASIBLE
+        g = corpus.complete(3)
+        inst = build_instance(g, 2)
+        out = search_general([m.to_float() for m in inst.gadgets], budget=2000, seed=1)
         assert out.status is not SearchStatus.INFEASIBLE
+        exact = search_general(inst.gadgets, budget=2000, seed=1)
+        assert exact.status is SearchStatus.INFEASIBLE
+        assert is_clique_cover(g, exact.clique_cover, 2)
 
     def test_feasible_certificates_recertify(self):
         # with k = n <= 4 the grid pass makes the search complete, so the
@@ -198,6 +211,99 @@ class TestSearchGeneral:
         inst = build_instance(g, 2)
         out = search_general(inst.gadgets, budget=50_000, seed=0)
         assert out.status is SearchStatus.FEASIBLE
+
+
+def with_entry(m: Matrix, r: int, c: int, value) -> Matrix:
+    rows = [list(row) for row in m.rows()]
+    rows[r][c] = value
+    return Matrix.exact(rows)
+
+
+def ascent_only(mats, monkeypatch, **kwargs):
+    """search_general with gadget recognition switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mpoly.search, "instance_graph", lambda mats: None)
+        return search_general(mats, **kwargs)
+
+
+K3_J2 = build_instance(corpus.complete(3), 2).gadgets
+
+
+class TestGadgetCover:
+    def test_exact_gadget_family_is_infeasible_with_a_cover(self):
+        g = corpus.cycle(5)
+        out = search_general(build_instance(g, 3).gadgets, budget=5000, seed=0)
+        assert out.status is SearchStatus.INFEASIBLE
+        assert out.certificate is None
+        assert out.objective_trace == ()
+        assert out.budget_spent == 0
+        assert is_clique_cover(g, out.clique_cover, 3)
+        payload = out.to_json_dict()
+        assert payload["clique_cover"] == [[v + 1 for v in p] for p in out.clique_cover]
+
+    def test_json_has_no_cover_key_without_a_cover(self):
+        feasible = search_general(build_instance(corpus.cycle(5), 1).gadgets, seed=0)
+        unknown = search_general(build_instance(corpus.cycle(5), 2).gadgets,
+                                 budget=500, seed=0)
+        for out in (feasible, unknown):
+            assert out.clique_cover is None
+            assert set(out.to_json_dict()) == {
+                "status", "certificate", "margins", "budget_spent"}
+
+    # each family is one step away from a recognisable gadget family; the
+    # statuses are those of the search before recognition existed
+    @pytest.mark.parametrize("name, family, status", [
+        ("float backing", [m.to_float() for m in K3_J2], SearchStatus.UNKNOWN),
+        ("entry moved by 1/den",
+         [with_entry(K3_J2[0], 1, 1, K3_J2[0].entry(1, 1) + Fraction(1, 2))]
+         + list(K3_J2[1:]), SearchStatus.UNKNOWN),
+        ("corner 2/3", [with_entry(m, 3, 3, Fraction(2, 3)) for m in K3_J2],
+         SearchStatus.UNKNOWN),
+        ("asymmetric c_i", list(K3_J2[:2]) + [with_entry(K3_J2[2], 0, 3, 0)],
+         SearchStatus.UNKNOWN),
+        ("k != n", list(K3_J2[:2]), SearchStatus.UNKNOWN),
+        ("asymmetric c_i, feasible",
+         [with_entry(m, 2, 3, -1) if i == 0 else m for i, m in enumerate(
+             build_instance(Graph.from_edges(3, [(0, 1)]), 1).gadgets)],
+         SearchStatus.FEASIBLE),
+    ])
+    def test_near_gadget_families_take_the_ascent(self, monkeypatch, name, family,
+                                                 status):
+        out = search_general(family, budget=3000, seed=0)
+        assert out.status is status, name
+        assert out.clique_cover is None
+        assert out == ascent_only(family, monkeypatch, budget=3000, seed=0)
+
+    def test_node_cap_hit_takes_the_ascent(self, monkeypatch):
+        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 0)
+        out = search_general(K3_J2, budget=3000, seed=0)
+        assert out.status is SearchStatus.UNKNOWN
+        assert out == ascent_only(K3_J2, monkeypatch, budget=3000, seed=0)
+
+    def test_cover_that_fails_the_check_is_not_reported(self, monkeypatch):
+        # the re-check, not the cover search, decides INFEASIBLE
+        monkeypatch.setattr(mpoly.search, "clique_cover", lambda g, j: ((0, 1),))
+        out = search_general(K3_J2, budget=3000, seed=0)
+        assert out.status is SearchStatus.UNKNOWN
+        assert out.clique_cover is None
+
+    def test_exhaustive_agreement_with_the_oracle(self):
+        uncovered = []
+        for g in corpus.small_graphs():
+            alpha = max_independent_set(g).alpha
+            for j in range(1, g.n + 1):
+                out = search_general(build_instance(g, j).gadgets, budget=2000, seed=0)
+                if out.status is SearchStatus.INFEASIBLE:
+                    assert alpha <= j, (g, j)
+                    assert is_clique_cover(g, out.clique_cover, j), (g, j)
+                    assert out.budget_spent == 0
+                else:
+                    assert out.clique_cover is None
+                    if alpha <= j:
+                        uncovered.append((g.n, len(g.edges), j))
+        # every graph on at most 5 vertices but C5 is perfect, so it has a
+        # partition into alpha cliques; C5 needs 3 cliques and has alpha 2
+        assert uncovered == [(5, 5, 2)]
 
 
 class TestSearchSymmetric:
