@@ -3,16 +3,20 @@
 The five conditions cross-validate each other on Z-matrices:
 
 * E17: all leading principal minors positive (exact when the input is
-  rational; otherwise the smallest pivot over max |M_ij| is float-banded),
+  rational; otherwise the smallest pivot of M / max |M_ij| is
+  float-banded),
 * D16: all (near-)real eigenvalues positive,
 * N38: the inverse is entrywise nonnegative,
 * POS_STABLE: every eigenvalue has positive real part,
 * RHO_SPLIT: with s = max diagonal entry and N = s I - M (nonnegative by
-  Z-structure), the spectral radius of N stays below s.
+  Z-structure), the spectral radius of N stays below s. Since
+  eig(s I - M) = s - eig(M), the margin is s - max_i |s - lambda_i(M)|.
 
-Eigenvalue-based conditions always run on the float copy and may report
-MARGINAL near a boundary; E17 and N38 decide exactly on rational inputs.
-Float verdicts are banded relative to the size of the matrix: D16,
+:func:`certify` makes one float copy of M, one Z test and one eigenvalue
+computation per call: D16, POS_STABLE and RHO_SPLIT are reductions of that
+one spectrum. Eigenvalue-based conditions always run on the float copy and
+may report MARGINAL near a boundary; E17 and N38 decide exactly on rational
+inputs. Float verdicts are banded relative to the size of the matrix: D16,
 POS_STABLE and RHO_SPLIT divide their margins by max |M_ij| and float N38
 divides by max |M^-1_ij| before comparing with the tolerance, so scaling M
 by a positive number does not move a verdict; D16 also takes an
@@ -41,7 +45,6 @@ from .linalg import (
     eigenvalues,
     is_z_matrix,
     leading_principal_minors,
-    spectral_radius,
 )
 
 CONDITIONS = ("E17", "D16", "N38", "POS_STABLE", "RHO_SPLIT")
@@ -51,17 +54,48 @@ CONSENSUS_NO = "NO"
 CONSENSUS_MARGINAL = "MARGINAL"
 CONSENSUS_DISAGREE = "DISAGREE"
 
+_NOT_Z = "rho-split test requires a Z-matrix"
 
-def _over_scale(value: float, arr: np.ndarray) -> float:
-    """value / max |arr_ij|, or value itself when arr is zero."""
-    scale = float(np.abs(arr).max())
+
+def _max_abs(arr: np.ndarray) -> float:
+    return float(np.abs(arr).max())
+
+
+def _over_scale(value: float, scale: float) -> float:
+    """value / scale, or value itself when scale is not positive."""
     return value / scale if scale > 0.0 else value
 
 
-def _scaled_verdict(margin: float, arr: np.ndarray) -> Verdict:
-    """Float verdict banded on margin / max |arr_ij|; the margin kept is unscaled."""
-    status = banded_verdict(_over_scale(margin, arr), exact=False).status
+def _scaled_verdict(margin: float, scale: float) -> Verdict:
+    """Float verdict banded on margin / scale; the margin kept is unscaled."""
+    status = banded_verdict(_over_scale(margin, scale), exact=False).status
     return Verdict(status, float(margin))
+
+
+def _spectrum(m: Matrix) -> tuple[np.ndarray, float, np.ndarray]:
+    """(entries, max |M_ij|, eigenvalues) of the float copy of m."""
+    f = m.to_float()
+    arr = f.as_array()
+    return arr, _max_abs(arr), np.array(eigenvalues(f))
+
+
+def _d16(scale: float, eigs: np.ndarray) -> Verdict:
+    real_parts = eigs.real[np.abs(eigs.imag) < config.tolerance() * (scale or 1.0)]
+    if not real_parts.size:
+        return Verdict(Status.YES, math.inf)
+    return _scaled_verdict(real_parts.min(), scale)
+
+
+def _positive_stable(scale: float, eigs: np.ndarray) -> Verdict:
+    return _scaled_verdict(eigs.real.min(), scale)
+
+
+def _rho_split(arr: np.ndarray, scale: float, eigs: np.ndarray) -> Verdict:
+    s = float(arr.diagonal().max())
+    margin = s - float(np.abs(s - eigs).max())  # s - rho(s I - M)
+    if s <= 0.0:
+        return Verdict(Status.NO, margin)
+    return _scaled_verdict(margin, scale)
 
 
 def check_e17(m: Matrix) -> Verdict:
@@ -69,22 +103,24 @@ def check_e17(m: Matrix) -> Verdict:
 
     The exact margin is the smallest minor. The float margin is the smallest
     pivot (the ratio of successive leading minors, up to the first one that
-    is not positive) divided by max |M_ij|. Minor k scales as c^k under
-    M -> c M, but that ratio does not change, so the float verdict does not
-    depend on the scale of M.
+    is not positive) of M / max |M_ij|. That matrix does not change under
+    M -> c M for c > 0, so the float verdict does not depend on the scale of
+    M, and its minors neither under- nor overflow when M is tiny or huge.
     """
-    minors = leading_principal_minors(m)
     if m.is_exact:
-        smallest = min(minors)
+        smallest = min(leading_principal_minors(m))
         return Verdict(Status.YES if smallest > 0 else Status.NO, float(smallest))
+    arr = m.as_array()
+    unit = arr / (_max_abs(arr) or 1.0)
     pivots = []
     prev = 1.0
-    for minor in minors:
+    for k in range(1, m.n + 1):
+        minor = float(np.linalg.det(unit[:k, :k]))
         pivots.append(minor / prev)
         if not minor > 0.0:
             break
         prev = minor
-    return banded_verdict(_over_scale(min(pivots), m.as_array()), exact=False)
+    return banded_verdict(min(pivots), exact=False)
 
 
 def check_d16(m: Matrix) -> Verdict:
@@ -97,39 +133,31 @@ def check_d16(m: Matrix) -> Verdict:
     margin; that cannot happen for a Z-matrix, whose minimal eigenvalue is
     real.
     """
-    f = m.to_float()
-    arr = f.as_array()
-    cutoff = config.tolerance() * (float(np.abs(arr).max()) or 1.0)
-    real_parts = [z.real for z in eigenvalues(f) if abs(z.imag) < cutoff]
-    if not real_parts:
-        return Verdict(Status.YES, math.inf)
-    return _scaled_verdict(min(real_parts), arr)
+    _, scale, eigs = _spectrum(m)
+    return _d16(scale, eigs)
 
 
 def check_n38(m: Matrix) -> Verdict:
     """The inverse must be entrywise nonnegative; margin is its smallest entry.
 
-    Singular input is a NO with margin -|det|. In float the YES band
-    extends down to -tolerance, taken relative to max |M^-1_ij|, because
+    Singular input is a NO with margin -0.0; in float, singular means that
+    ``np.linalg.inv`` finds a zero pivot. In float the YES band extends
+    down to -tolerance, taken relative to max |M^-1_ij|, because
     well-conditioned inverses routinely contain exact zeros (the identity
     is the canonical YES).
     """
     if m.is_exact:
         smallest = _smallest_inverse_entry(m)
         if smallest is None:
-            return Verdict(Status.NO, -0.0)  # -|det|
+            return Verdict(Status.NO, -0.0)
         return Verdict(Status.YES if smallest >= 0 else Status.NO, float(smallest))
-    arr = m.as_array()
-    d = float(np.linalg.det(arr))
-    if d == 0.0:
-        return Verdict(Status.NO, -abs(d))
     try:
-        inverse = np.linalg.inv(arr)
+        inverse = np.linalg.inv(m.as_array())
     except np.linalg.LinAlgError:
-        return Verdict(Status.NO, -abs(d))
+        return Verdict(Status.NO, -0.0)
     smallest = float(inverse.min())
-    tol = config.tolerance()
-    status = Status.YES if _over_scale(smallest, inverse) >= -tol else Status.NO
+    relative = _over_scale(smallest, _max_abs(inverse))
+    status = Status.YES if relative >= -config.tolerance() else Status.NO
     return Verdict(status, smallest)
 
 
@@ -138,9 +166,8 @@ def check_positive_stable(m: Matrix) -> Verdict:
 
     Banded on the smallest real part over max |M_ij|.
     """
-    f = m.to_float()
-    eigs = eigenvalues(f)
-    return _scaled_verdict(min(z.real for z in eigs), f.as_array())
+    _, scale, eigs = _spectrum(m)
+    return _positive_stable(scale, eigs)
 
 
 def check_rho_split(m: Matrix) -> Verdict:
@@ -148,29 +175,13 @@ def check_rho_split(m: Matrix) -> Verdict:
 
     Requires Z-structure so that N = s I - M is entrywise nonnegative. The
     smallest valid s gives the tightest margin s - rho(N), banded over
-    max |M_ij|. Nonpositive s is an outright NO (a Z-matrix with no
-    positive diagonal entry has nonpositive trace and cannot be positive
-    stable).
+    max |M_ij|; rho(N) is max_i |s - lambda_i(M)|. Nonpositive s is an
+    outright NO (a Z-matrix with no positive diagonal entry has nonpositive
+    trace and cannot be positive stable).
     """
     if not is_z_matrix(m):
-        raise DomainError("rho-split test requires a Z-matrix")
-    arr = m.to_float().as_array()
-    s = float(arr.diagonal().max())
-    n_part = s * np.eye(m.n) - arr
-    rho = spectral_radius(Matrix.float64(n_part))
-    margin = s - rho
-    if s <= 0.0:
-        return Verdict(Status.NO, margin)
-    return _scaled_verdict(margin, arr)
-
-
-_CHECKS = (
-    ("E17", check_e17),
-    ("D16", check_d16),
-    ("N38", check_n38),
-    ("POS_STABLE", check_positive_stable),
-    ("RHO_SPLIT", check_rho_split),
-)
+        raise DomainError(_NOT_Z)
+    return _rho_split(*_spectrum(m))
 
 
 def _consensus(verdicts) -> str:
@@ -238,19 +249,29 @@ class CertificationReport:
 def certify(m: Matrix) -> CertificationReport:
     """Run the Z check plus all five conditions and report consensus.
 
-    Per-condition failures (for example RHO_SPLIT on a non-Z input) are
-    collected into the report instead of raising.
+    The float copy, the Z test and the eigenvalues are computed once and
+    shared. Per-condition failures (RHO_SPLIT on a non-Z input, an
+    eigenvalue iteration that does not converge) are collected into the
+    report instead of raising.
     """
-    verdicts: dict[str, Verdict] = {}
+    is_z = is_z_matrix(m)
+    found = {"E17": check_e17(m), "N38": check_n38(m)}
     errors: dict[str, str] = {}
-    for name, fn in _CHECKS:
-        try:
-            verdicts[name] = fn(m)
-        except (DomainError, NoConvergence) as exc:
-            errors[name] = str(exc)
+    try:
+        arr, scale, eigs = _spectrum(m)
+    except NoConvergence as exc:
+        errors = dict.fromkeys(("D16", "POS_STABLE", "RHO_SPLIT"), str(exc))
+    else:
+        found["D16"] = _d16(scale, eigs)
+        found["POS_STABLE"] = _positive_stable(scale, eigs)
+        if is_z:
+            found["RHO_SPLIT"] = _rho_split(arr, scale, eigs)
+    if not is_z:
+        errors["RHO_SPLIT"] = _NOT_Z
+    verdicts = {name: found[name] for name in CONDITIONS if name in found}
     return CertificationReport(
         input_dim=m.n,
-        is_z=is_z_matrix(m),
+        is_z=is_z,
         verdicts=verdicts,
         consensus=_consensus(verdicts.values()),
         margins={name: v.margin for name, v in verdicts.items()},

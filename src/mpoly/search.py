@@ -39,6 +39,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -118,14 +119,19 @@ def _validate_family(mats: Sequence[Matrix]) -> int:
     return n
 
 
-def _compositions(total: int, parts: int):
-    """All length-`parts` tuples of nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _grid_passes(k: int) -> list[np.ndarray]:
+    """The points both searches score first, as integer weights over
+    GRID_DENOM: the k vertices, then for k <= GRID_MAX_K every point of the
+    1/GRID_DENOM grid, in lexicographic order."""
+    passes = [GRID_DENOM * np.eye(k, dtype=np.int64)]
+    if k <= GRID_MAX_K:
+        # stars and bars: k - 1 bars in slots 1..GRID_DENOM + k - 1, and
+        # the parts are the gaps between consecutive bars
+        slots = GRID_DENOM + k - 1
+        bars = np.array(list(combinations(range(1, slots + 1), k - 1)), dtype=np.int64)
+        edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(0, slots + 1))
+        passes.append(np.diff(edges, axis=1) - 1)
+    return passes
 
 
 class _Tracker:
@@ -249,16 +255,12 @@ def search_general(
                 return finish(SearchStatus.FEASIBLE, point, dict(report.margins))
         return None
 
-    # vertex pass, then a coarse 1/8 grid pass for small families
-    passes = [[tuple(GRID_DENOM * (i == c) for c in range(k)) for i in range(k)]]
-    if k <= GRID_MAX_K:
-        passes.append(list(_compositions(GRID_DENOM, k)))
-    for comps in passes:
+    for comps in _grid_passes(k):
         comps = comps[: tracker.left()]
-        weights = np.array(comps, dtype=np.float64).reshape(-1, k) / GRID_DENOM
+        weights = comps / GRID_DENOM
         passing = np.flatnonzero(merit(weights) > tol)
         res = verified(
-            SimplexPoint(tuple(Fraction(c, GRID_DENOM) for c in comps[i]))
+            SimplexPoint(tuple(Fraction(c, GRID_DENOM) for c in comps[i].tolist()))
             if exact_inputs
             else SimplexPoint.from_floats(weights[i])
             for i in passing
@@ -446,24 +448,27 @@ def search_symmetric(
 def _top_eigenvalues(vals: np.ndarray, radius: bool):
     """(index, value, smooth?) of the top eigenvalue in each row of `vals`.
 
-    The radius (largest modulus) is smooth when one eigenvalue attains it
-    within EIG_GAP and that eigenvalue is real and positive (the Perron
-    case). The abscissa (largest real part) is smooth when every other
-    eigenvalue within EIG_GAP of it is the conjugate of a non-real top
-    eigenvalue; a real top eigenvalue must be simple.
+    Two eigenvalues count as equal when they differ by at most the gap,
+    EIG_GAP times the row's largest |eigenvalue|, so scaling a row does not
+    change what is smooth. The radius (largest modulus) is smooth when one
+    eigenvalue attains it within the gap and that eigenvalue is real and
+    positive (the Perron case). The abscissa (largest real part) is smooth
+    when every other eigenvalue within the gap of it is the conjugate of a
+    non-real top eigenvalue; a real top eigenvalue must be simple.
     """
     rows = np.arange(len(vals))
+    gap = EIG_GAP * np.abs(vals).max(axis=1)
     key = np.abs(vals) if radius else vals.real
     top = key.argmax(axis=1)
     value = key[rows, top]
     lam = vals[rows, top]
-    near = key >= value[:, None] - EIG_GAP
+    near = key >= (value - gap)[:, None]
     if radius:
         simple = near.sum(axis=1) == 1
-        return top, value, simple & (np.abs(lam.imag) <= EIG_GAP) & (value > EIG_GAP)
+        return top, value, simple & (np.abs(lam.imag) <= gap) & (value > gap)
     near[rows, top] = False
-    partner = np.abs(vals - lam.conj()[:, None]) <= EIG_GAP
-    partner &= (np.abs(lam.imag) > EIG_GAP)[:, None]
+    partner = np.abs(vals - lam.conj()[:, None]) <= gap[:, None]
+    partner &= (np.abs(lam.imag) > gap)[:, None]
     return top, value, ~(near & ~partner).any(axis=1)
 
 
@@ -568,13 +573,10 @@ def _descend_spectral(
 
     uniform = np.full((1, k), 1.0 / k)
     evaluate(uniform)
-    passes = [np.eye(k)]
-    if k <= GRID_MAX_K:
-        passes.append(np.array(list(_compositions(GRID_DENOM, k))) / GRID_DENOM)
-    for points in passes:
+    for comps in _grid_passes(k):
         if stopped():
             return best_w, tracker
-        evaluate(points[: tracker.left()])
+        evaluate(comps[: tracker.left()] / GRID_DENOM)
 
     rng = np.random.default_rng(seed)
     w = np.vstack([uniform, sample_simplex_rows(rng, SPECTRAL_STARTS - 1, k)])

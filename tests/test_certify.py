@@ -2,16 +2,19 @@
 
 import math
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import mpoly.mmatrix
 from mpoly import (
     DEFAULT_TOLERANCE,
     CertificationReport,
     DomainError,
     Matrix,
+    NoConvergence,
     Status,
     certify,
     check_d16,
@@ -68,7 +71,7 @@ class TestE17:
             margins = [abs(v) for v in rep.margins.values() if math.isfinite(v)]
             if min(margins) < 1e-3:
                 continue
-            for c in (1e-3, 1e3):
+            for c in (1e-120, 1e-3, 1e3, 1e120):
                 assert certify(Matrix.float64(c * m.as_array())).consensus == rep.consensus
             kept += 1
         assert kept > 100
@@ -205,6 +208,90 @@ class TestCertify:
         assert again.consensus == rep.consensus
         assert again.verdicts.keys() == rep.verdicts.keys()
         assert again.errors == rep.errors
+
+
+class TestCertifyMatchesChecks:
+    CHECKS = {
+        "E17": check_e17,
+        "D16": check_d16,
+        "N38": check_n38,
+        "POS_STABLE": check_positive_stable,
+        "RHO_SPLIT": check_rho_split,
+    }
+
+    @staticmethod
+    def _inputs(rng):
+        """Float and exact matrices, about half of them Z-matrices."""
+        for _ in range(40):
+            z = random_z_matrix(rng, n_max=8)
+            yield z
+            yield Matrix.float64(z.as_array() + rng.random((z.n, z.n)))
+            n = int(rng.integers(1, 7))
+            ints = rng.integers(-4, 5, size=(n, n))
+            yield Matrix.exact(ints.tolist())
+            np.fill_diagonal(ints, rng.integers(0, 12, size=n))
+            yield Matrix.exact(np.where(np.eye(n) > 0, ints, -np.abs(ints)).tolist())
+
+    def test_verdicts_margins_and_errors_match_the_public_checks(self):
+        rng = np.random.default_rng(106)
+        z_inputs = non_z_inputs = 0
+        for m in self._inputs(rng):
+            rep = certify(m)
+            scale = float(np.abs(m.as_array()).max())
+            raised = set()
+            for name, check in self.CHECKS.items():
+                try:
+                    v = check(m)
+                except DomainError:
+                    raised.add(name)
+                    continue
+                assert rep.verdicts[name].status is v.status, (name, m.rows())
+                if name == "RHO_SPLIT":
+                    assert abs(rep.margins[name] - v.margin) <= 1e-12 * scale
+                else:
+                    assert rep.margins[name] == v.margin, (name, m.rows())
+            assert set(rep.errors) == raised
+            z_inputs += rep.is_z
+            non_z_inputs += not rep.is_z
+        assert z_inputs > 60 and non_z_inputs > 60
+
+    def test_one_spectrum_one_z_test_one_float_copy(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigenvalues", "is_z_matrix"):
+            monkeypatch.setattr(
+                mpoly.mmatrix, name, counted(name, getattr(mpoly.mmatrix, name))
+            )
+        monkeypatch.setattr(Matrix, "to_float", counted("to_float", Matrix.to_float))
+        for m in (
+            Matrix.exact([[2, -1], [-1, 2]]),
+            Matrix.float64([[2, -1], [-1, 2]]),
+            Matrix.float64([[1, 0.5], [0.5, 1]]),
+        ):
+            calls.clear()
+            certify(m)
+            assert calls == {"eigenvalues": 1, "is_z_matrix": 1, "to_float": 1}
+
+    def test_unconverged_spectrum_lands_in_errors(self, monkeypatch):
+        def unconverged(m):
+            raise NoConvergence("eigenvalue iteration did not converge")
+
+        monkeypatch.setattr(mpoly.mmatrix, "eigenvalues", unconverged)
+        for m, rho_error in (
+            (Matrix.float64([[2, -1], [-1, 2]]), "converge"),
+            (Matrix.float64([[1, 0.5], [0.5, 1]]), "Z-matrix"),
+        ):
+            rep = certify(m)
+            assert set(rep.verdicts) == {"E17", "N38"}
+            assert set(rep.errors) == {"D16", "POS_STABLE", "RHO_SPLIT"}
+            assert rho_error in rep.errors["RHO_SPLIT"]
 
 
 class TestEquivalenceLattice:

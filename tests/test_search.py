@@ -516,6 +516,16 @@ class TestSpectralDescent:
                 stack, points[smooth], True, values[smooth], grads[smooth]
             )
 
+    def test_smoothness_does_not_depend_on_scale(self):
+        # each eigenvalue gap is taken relative to the row's spectrum
+        rng = np.random.default_rng(7)
+        stack = rng.random((3, 4, 4))
+        points = np.vstack([np.full((1, 3), 1 / 3), rng.dirichlet(np.ones(3), size=4)])
+        for radius, sign in ((True, 1.0), (False, -1.0)):
+            for c in (1.0, 1e-9):
+                _, _, smooth = self._gradients_quietly(sign * c * stack, points, radius)
+                assert smooth.all(), (radius, c)
+
     def test_badly_balanced_family_keeps_its_gradient(self):
         # D B D^-1 with D = diag(1e5, 1e-5): the eigenvalues are those of B,
         # O(1) apart, while max |A_ij| is about 1e10
