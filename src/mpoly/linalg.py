@@ -30,8 +30,9 @@ import numpy as np
 from . import config
 from .errors import DimensionMismatch, DomainError, NoConvergence, SingularBlock
 
-# Fixed slack for off-diagonal sign checks in float backing (independent of
-# the global tolerance: Z-structure is a structural property, not a margin).
+# Slack for off-diagonal sign checks in float backing, relative to the
+# largest |entry| (independent of the global tolerance: Z-structure is a
+# structural property, not a margin).
 Z_SLACK = 1e-12
 # Largest bound on a row of |L||U|, relative to that row's largest input
 # entry, for which the batched unpivoted minors are kept: their error
@@ -329,10 +330,8 @@ def _encode_scalar(x: float):
     return "inf" if x > 0 else "-inf"
 
 
-def banded_verdict(margin, exact: bool) -> Verdict:
-    """Three-way sign decision: exact by sign, float within the tolerance band."""
-    if exact:
-        return Verdict(Status.YES if margin > 0 else Status.NO, float(margin))
+def banded_verdict(margin) -> Verdict:
+    """Three-way float decision: MARGINAL within the tolerance band."""
     tol = config.tolerance()
     margin = float(margin)
     if margin > tol:
@@ -577,12 +576,15 @@ def collatz_wielandt_ratio(n_mat: Matrix, x: Sequence[float]) -> float:
 def is_z_matrix(m: Matrix) -> bool:
     """True when all off-diagonal entries are nonpositive.
 
-    Exact in rational backing; float backing allows slack of +1e-12.
+    Exact in rational backing. Float backing allows off-diagonal entries up
+    to Z_SLACK * max |M_ij|, so the answer does not change when M is scaled
+    by a positive number.
     """
     if m.is_exact:
         return all(
             x <= 0 for i, r in enumerate(m._num) for j, x in enumerate(r) if i != j
         )
     arr = m.as_array().copy()
+    scale = float(np.abs(arr).max())
     np.fill_diagonal(arr, -np.inf)
-    return bool(arr.max() <= Z_SLACK)
+    return bool(arr.max() <= Z_SLACK * scale)

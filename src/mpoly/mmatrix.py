@@ -68,7 +68,7 @@ def _over_scale(value: float, scale: float) -> float:
 
 def _scaled_verdict(margin: float, scale: float) -> Verdict:
     """Float verdict banded on margin / scale; the margin kept is unscaled."""
-    status = banded_verdict(_over_scale(margin, scale), exact=False).status
+    status = banded_verdict(_over_scale(margin, scale)).status
     return Verdict(status, float(margin))
 
 
@@ -120,7 +120,7 @@ def check_e17(m: Matrix) -> Verdict:
         if not minor > 0.0:
             break
         prev = minor
-    return banded_verdict(min(pivots), exact=False)
+    return banded_verdict(min(pivots))
 
 
 def check_d16(m: Matrix) -> Verdict:

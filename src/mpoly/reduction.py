@@ -62,10 +62,6 @@ class Graph:
             rows[v][u] = one
         return rows
 
-    def adjacency_matrix(self, exact: bool = True) -> Matrix:
-        rows = self.adjacency_rows(exact=exact)
-        return Matrix.exact(rows) if exact else Matrix.float64(rows)
-
     def neighbor_masks(self) -> list[int]:
         masks = [0] * self.n
         for u, v in self.edges:
@@ -192,17 +188,9 @@ def instance_graph(matrices: Sequence[Matrix]) -> tuple[Graph, int] | None:
 
 
 def nonneg_parts(g: Graph, j: int) -> list[Matrix]:
-    """Entrywise nonnegative parts N_i with gadget_i = I - N_i exactly."""
-    _check_threshold(g, j)
-    n = g.n
-    # numerators over the denominator j: column j (e_i + c_i), row j e_i,
-    # corner j - 1 (coprime to j, so already in lowest terms)
-    parts = []
-    for i, column in enumerate(_closed_neighbourhoods(g)):
-        rows = [[0] * n + [j * x] for x in column]
-        rows.append([j if c == i else 0 for c in range(n)] + [j - 1])
-        parts.append(Matrix._from_numerators(rows, j, reduced=True))
-    return parts
+    """Entrywise nonnegative parts N_i = I - gadget_i, exactly."""
+    eye = Matrix.identity(g.n + 1, exact=True)
+    return [eye - gadget for gadget in build_instance(g, j).gadgets]
 
 
 def convex_combination(matrices: Sequence[Matrix], pi: SimplexPoint) -> Matrix:

@@ -27,10 +27,17 @@ Four entry points:
 
 All searches are deterministic for a fixed seed. The general search and
 the spectral descents move their starts in lockstep rounds that share one
-line-search round, and admit to a round only the starts whose evaluations
-fit in the budget left. Of the starts that cross the tolerance in one
-round, the general search re-certifies the lowest start index first; the
-spectral descents keep the best value found, ties to the lowest start.
+line-search round and one forward-difference helper, and admit to a round
+only the starts whose evaluations fit in the budget left. Of the starts
+that cross the tolerance in one round, the general search re-certifies the
+lowest start index first; the spectral descents keep the best value found,
+ties to the lowest start.
+
+Each decision is made in one place. :func:`_certified` is the one witness
+rule of both M-matrix searches: a point is a FEASIBLE witness only when
+:func:`mmatrix.certify` finds its combination a Z-matrix with consensus YES.
+Every outcome but the clique-cover INFEASIBLE one is built by
+:meth:`_Tracker.outcome` from the tracker that counted the evaluations.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -47,7 +53,7 @@ from scipy.optimize import linprog
 
 from . import config
 from .errors import DimensionMismatch, DomainError, NotSymmetric
-from .linalg import Matrix, Z_SLACK, leading_minors_batch
+from .linalg import Matrix, Z_SLACK, _encode_scalar, leading_minors_batch
 from .mmatrix import CONSENSUS_YES, certify
 from .oracle import clique_cover, is_clique_cover
 from .reduction import convex_combination, instance_graph
@@ -95,10 +101,7 @@ class SearchOutcome:
         cert = None if self.certificate is None else self.certificate.to_json_list()
         margins = None
         if self.margins is not None:
-            margins = {
-                k: (v if isinstance(v, str) or math.isfinite(v) else repr(v))
-                for k, v in self.margins.items()
-            }
+            margins = {k: _encode_scalar(v) for k, v in self.margins.items()}
         out = {
             "status": self.status.value,
             "certificate": cert,
@@ -135,24 +138,53 @@ def _grid_passes(k: int) -> list[np.ndarray]:
 
 
 class _Tracker:
-    """Evaluation counter plus monotone best-so-far trace."""
+    """One search's evaluation counter, monotone best-so-far trace and the
+    point of the best merit; every outcome of a search but the clique-cover
+    INFEASIBLE one is built by :meth:`outcome`."""
 
-    __slots__ = ("spent", "best", "trace", "budget")
+    __slots__ = ("spent", "best", "best_point", "trace", "budget")
 
     def __init__(self, budget: int):
         self.spent = 0
         self.best = -math.inf
+        self.best_point = None
         self.trace: list[tuple[int, float]] = []
         self.budget = budget
 
-    def record(self, count: int, merit: float) -> None:
+    def record(self, count: int, merit: float, point=None) -> None:
+        """Count `count` evaluations whose best merit is `merit`, reached at
+        `point` (kept only when the merit is a new best)."""
         self.spent += count
         if merit > self.best:
             self.best = merit
+            self.best_point = point
             self.trace.append((self.spent, float(merit)))
 
     def left(self) -> int:
         return max(self.budget - self.spent, 0)
+
+    def outcome(self, status, certificate=None, margins=None) -> SearchOutcome:
+        trace = tuple(self.trace)
+        return SearchOutcome(status, certificate, trace, self.spent, margins)
+
+
+def _certified(mats: Sequence[Matrix], point: SimplexPoint):
+    """The certify report of the combination at `point` when it is a
+    Z-matrix with consensus YES, else None: the witness rule of every
+    FEASIBLE answer of the M-matrix searches."""
+    report = certify(convex_combination(mats, point))
+    if report.is_z and report.consensus == CONSENSUS_YES:
+        return report
+    return None
+
+
+def _forward_differences(f, x, fx, h):
+    """Forward-difference gradients of the batch function `f` at each row of
+    x, whose values are fx: one call of f on the k probes x + h e_m of
+    every row."""
+    k = x.shape[1]
+    probes = (x[:, None, :] + h * np.eye(k)).reshape(-1, k)
+    return (f(probes).reshape(-1, k) - fx[:, None]) / h
 
 
 def _line_search_round(x, fx, grads, step, merit):
@@ -217,11 +249,12 @@ def search_general(
     forward-difference probes and one of four projected line-search steps
     per round, of which each start takes the first that improves its merit
     and stops when none does or a step no longer moves. Every candidate
-    with merit above the tolerance is independently re-certified (in exact
-    arithmetic when the inputs are rational) before FEASIBLE is reported,
-    lowest start index first within a round. Each batch is cut to the
-    budget left, at one evaluation per point and k + 4 per start and
-    round, so ``budget_spent <= budget``.
+    with merit above the tolerance is independently re-certified by
+    :func:`_certified` (in exact arithmetic, at its :func:`rationalize`
+    snap, when the inputs are rational) before FEASIBLE is reported, in
+    pass order, and lowest start index first within a round. Each batch is
+    cut to the budget left, at one evaluation per point and k + 4 per start
+    and round, so ``budget_spent <= budget``.
     """
     mats = list(matrices)
     _validate_family(mats)
@@ -243,28 +276,18 @@ def search_general(
         tracker.record(len(points), float(vals.max(initial=-math.inf)))
         return vals
 
-    def finish(status, cert=None, margins=None) -> SearchOutcome:
-        return SearchOutcome(
-            status, cert, tuple(tracker.trace), tracker.spent, margins
-        )
-
-    def verified(points) -> SearchOutcome | None:
-        for point in points:
-            report = certify(convex_combination(mats, point))
-            if report.is_z and report.consensus == CONSENSUS_YES:
-                return finish(SearchStatus.FEASIBLE, point, dict(report.margins))
+    def verified(rows: np.ndarray) -> SearchOutcome | None:
+        for row in rows:
+            point = rationalize(row) if exact_inputs else SimplexPoint.from_floats(row)
+            report = _certified(mats, point)
+            if report is not None:
+                margins = dict(report.margins)
+                return tracker.outcome(SearchStatus.FEASIBLE, point, margins)
         return None
 
     for comps in _grid_passes(k):
-        comps = comps[: tracker.left()]
-        weights = comps / GRID_DENOM
-        passing = np.flatnonzero(merit(weights) > tol)
-        res = verified(
-            SimplexPoint(tuple(Fraction(c, GRID_DENOM) for c in comps[i].tolist()))
-            if exact_inputs
-            else SimplexPoint.from_floats(weights[i])
-            for i in passing
-        )
+        weights = comps[: tracker.left()] / GRID_DENOM
+        res = verified(weights[merit(weights) > tol])
         if res is not None:
             return res
 
@@ -274,22 +297,16 @@ def search_general(
     w = w[: tracker.left()]
     fv = merit(w)
     step = np.full(len(w), 0.25)
-    eye = np.eye(k)
     moved_to = np.arange(len(w))
     while True:
-        crossed = moved_to[fv[moved_to] > tol]
-        res = verified(
-            rationalize(w[s]) if exact_inputs else SimplexPoint.from_floats(w[s])
-            for s in crossed
-        )
+        res = verified(w[moved_to[fv[moved_to] > tol]])
         if res is not None:
             return res
         live = moved_to[fv[moved_to] <= tol][: tracker.left() // (k + 4)]
         if not live.size:
-            return finish(SearchStatus.UNKNOWN)
+            return tracker.outcome(SearchStatus.UNKNOWN)
         x, fx = w[live], fv[live]
-        probes = (x[:, None, :] + MERIT_FD_STEP * eye).reshape(-1, k)
-        grads = (merit(probes).reshape(-1, k) - fx[:, None]) / MERIT_FD_STEP
+        grads = _forward_differences(merit, x, fx, MERIT_FD_STEP)
         took, w_new, f_new, step_new = _line_search_round(
             x, fx, grads, step[live], merit
         )
@@ -301,9 +318,10 @@ def search_general(
 
 
 def _check_symmetric(mats: Sequence[Matrix]) -> None:
+    """Raise NotSymmetric unless max |A - A'| <= 1e-12 max |A_ij| for each A."""
     for idx, m in enumerate(mats):
         arr = m.as_array()
-        if float(np.abs(arr - arr.T).max()) > 1e-12:
+        if float(np.abs(arr - arr.T).max()) > 1e-12 * float(np.abs(arr).max()):
             raise NotSymmetric(f"matrix {idx} is not symmetric")
 
 
@@ -319,12 +337,14 @@ def search_symmetric(
     verified point exceeds `tolerance`, INFEASIBLE when the certified upper
     bound drops below `-tolerance`, UNKNOWN in the marginal band.
 
-    The vertices are scored first, then one LP point (and its snap to the
-    support) per cutting-plane round. Each new best Z point with smallest
-    eigenvalue above `tolerance` is certified at once, and the search stops
-    at the first that passes, so FEASIBLE does not wait for the gap to
-    close. The margins ``optimum_upper_bound`` (the last LP bound, inf
-    before the first LP) and ``best_lambda_min`` are taken at exit.
+    The vertices are scored first, then one LP point per cutting-plane
+    round. Each new best Z point (off-diagonal entries at most Z_SLACK
+    times max |B_ij|, the slack of :func:`linalg.is_z_matrix`) with
+    smallest eigenvalue above `tolerance` goes to :func:`_certified` at
+    once, and the search stops at the first that passes, so FEASIBLE does
+    not wait for the gap to close. The margins ``optimum_upper_bound`` (the
+    last LP bound, inf before the first LP) and ``best_lambda_min`` are
+    taken at exit.
     """
     mats = list(matrices)
     dim = _validate_family(mats)
@@ -353,12 +373,12 @@ def search_symmetric(
         violation = float(off.max())
         if violation <= LP_SLACK:
             best_lower = max(best_lower, lam)
-        if violation <= Z_SLACK and lam > best_z_lam:
+        if violation <= Z_SLACK * float(np.abs(b).max()) and lam > best_z_lam:
             best_z_lam = lam
             if lam > tolerance:
                 point = SimplexPoint.from_floats(w)
-                report = certify(convex_combination(mats, point))
-                if report.is_z and report.consensus == CONSENSUS_YES:
+                report = _certified(mats, point)
+                if report is not None:
                     witness = point, report
         return lam, vecs[:, 0]
 
@@ -400,12 +420,8 @@ def search_symmetric(
         if res.status == 2:
             # simplex and Z constraints are jointly infeasible: no combination
             # is even a Z-matrix, so none is an M-matrix
-            return SearchOutcome(
-                SearchStatus.INFEASIBLE,
-                None,
-                tuple(tracker.trace),
-                tracker.spent,
-                {"optimum_upper_bound": -math.inf},
+            return tracker.outcome(
+                SearchStatus.INFEASIBLE, margins={"optimum_upper_bound": -math.inf}
             )
         if res.status != 0:
             break
@@ -414,13 +430,6 @@ def search_symmetric(
         w = w / w.sum()
         _, vec = lam_min(w)
         a_ub = np.vstack([a_ub, np.append(-(stack @ vec @ vec), 1.0)])
-        snapped = np.where(w < 1e-9, 0.0, w)
-        if (
-            witness is None
-            and snapped.sum() > 0
-            and not np.array_equal(snapped, w)
-        ):
-            lam_min(snapped / snapped.sum())
         if upper < -tolerance:
             break
         if upper - best_lower <= tolerance:
@@ -430,16 +439,9 @@ def search_symmetric(
     if witness is not None:
         point, report = witness
         margins.update(report.margins)
-        return SearchOutcome(
-            SearchStatus.FEASIBLE, point, tuple(tracker.trace), tracker.spent, margins
-        )
-    if upper < -tolerance:
-        return SearchOutcome(
-            SearchStatus.INFEASIBLE, None, tuple(tracker.trace), tracker.spent, margins
-        )
-    return SearchOutcome(
-        SearchStatus.UNKNOWN, None, tuple(tracker.trace), tracker.spent, margins
-    )
+        return tracker.outcome(SearchStatus.FEASIBLE, point, margins)
+    status = SearchStatus.INFEASIBLE if upper < -tolerance else SearchStatus.UNKNOWN
+    return tracker.outcome(status, margins=margins)
 
 
 # -- spectral-objective descent (shared by radius and abscissa searches) ------
@@ -550,20 +552,23 @@ def _descend_spectral(
     (the uniform point is always evaluated, so a best exists). The descent
     stops once the best value is below ``stop_below``. The best is kept
     over simplex points, not probes, ties to the lowest start in a batch.
-    Returns (best weights, tracker with the trace of negated best values).
+    Returns the tracker, whose best is the negated best value and whose
+    best point holds its weights.
     """
     k = len(stack)
     tracker = _Tracker(budget)
-    best_w: np.ndarray | None = None
 
     def keep(points: np.ndarray, vals: np.ndarray, count: int | None = None):
-        nonlocal best_w
         if len(vals):
             i = int(np.argmin(vals))  # the lowest index among ties
-            if -vals[i] > tracker.best:
-                best_w = points[i].copy()
-            tracker.record(len(points) if count is None else count, -float(vals[i]))
+            count = len(points) if count is None else count
+            tracker.record(count, -float(vals[i]), points[i].copy())
         return vals
+
+    def probe(points: np.ndarray) -> np.ndarray:
+        # forward-difference probes lie off the simplex: counted, never best
+        tracker.record(len(points), -math.inf)
+        return _spectral_values(stack, points, radius)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         return keep(points, _spectral_values(stack, points, radius))
@@ -575,14 +580,13 @@ def _descend_spectral(
     evaluate(uniform)
     for comps in _grid_passes(k):
         if stopped():
-            return best_w, tracker
+            return tracker
         evaluate(comps[: tracker.left()] / GRID_DENOM)
 
     rng = np.random.default_rng(seed)
     w = np.vstack([uniform, sample_simplex_rows(rng, SPECTRAL_STARTS - 1, k)])
     step = np.full(len(w), 0.25)
     scored = np.arange(len(w)) == 0  # the uniform pass scored start 0
-    eye = np.eye(k)
     live = np.arange(len(w))
     for _ in range(ITERS_PER_START):
         live = live[np.cumsum(k + 4 + ~scored[live]) <= tracker.left()]
@@ -596,16 +600,15 @@ def _descend_spectral(
             break
         rough = ~smooth
         if rough.any():
-            probes = (x[rough, None, :] + SPECTRAL_FD_STEP * eye).reshape(-1, k)
-            fp = _spectral_values(stack, probes, radius).reshape(-1, k)
-            tracker.record(len(probes), -math.inf)
-            grads[rough] = (fp - fx[rough, None]) / SPECTRAL_FD_STEP
+            grads[rough] = _forward_differences(
+                probe, x[rough], fx[rough], SPECTRAL_FD_STEP
+            )
         took, w_new, _, step_new = _line_search_round(
             x, -fx, -grads, step[live], lambda p: -evaluate(p)
         )
         live = live[took]
         w[live], step[live] = w_new, step_new
-    return best_w, tracker
+    return tracker
 
 
 def minimize_spectral_radius(
@@ -623,8 +626,8 @@ def minimize_spectral_radius(
         elif float(m.as_array().min()) < 0.0:
             raise DomainError(f"matrix {idx} has a negative entry")
     stack = np.stack([m.as_array() for m in mats])
-    best_w, _ = _descend_spectral(stack, budget, seed, radius=True)
-    point = SimplexPoint.from_floats(best_w)
+    tracker = _descend_spectral(stack, budget, seed, radius=True)
+    point = SimplexPoint.from_floats(tracker.best_point)
     return point, float(_spectral_values(stack, point.to_floats()[None], True)[0])
 
 
@@ -642,25 +645,15 @@ def hurwitz_search(
     _validate_family(mats)
     stack = np.stack([m.as_array() for m in mats])
     tol = config.tolerance()
-    best_w, tracker = _descend_spectral(
-        stack, budget, seed, radius=False, stop_below=-tol
-    )
-    if best_w is not None and -tracker.best < -tol:
-        point = SimplexPoint.from_floats(best_w)
+    tracker = _descend_spectral(stack, budget, seed, radius=False, stop_below=-tol)
+    if -tracker.best < -tol:
+        point = SimplexPoint.from_floats(tracker.best_point)
         combo = convex_combination(mats, point)
         abscissa = max(z.real for z in np.linalg.eigvals(combo.as_array()))
         if abscissa < -tol:
-            return SearchOutcome(
-                SearchStatus.FEASIBLE,
-                point,
-                tuple(tracker.trace),
-                tracker.spent,
-                {"spectral_abscissa": float(abscissa)},
+            return tracker.outcome(
+                SearchStatus.FEASIBLE, point, {"spectral_abscissa": float(abscissa)}
             )
-    return SearchOutcome(
-        SearchStatus.UNKNOWN,
-        None,
-        tuple(tracker.trace),
-        tracker.spent,
-        {"best_abscissa": -tracker.best if best_w is not None else math.inf},
-    )
+    # no value yet leaves best at -inf, so best_abscissa reads inf
+    margins = {"best_abscissa": -tracker.best}
+    return tracker.outcome(SearchStatus.UNKNOWN, margins=margins)

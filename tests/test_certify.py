@@ -184,6 +184,10 @@ class TestCertify:
         assert rep.verdicts["E17"].status is Status.YES
         # N38 legitimately disagrees here: equivalence presupposes Z-structure
         assert rep.verdicts["N38"].status is Status.NO
+        for c in (1e-13, 1.0, 1e3, 1e13):
+            rep = certify(Matrix.float64(c * np.array([[2, 1], [1, 2]])))
+            assert not rep.is_z, c
+            assert "RHO_SPLIT" in rep.errors, c
 
     @pytest.mark.parametrize("c", [Fraction(1, 10**12), Fraction(10**12)])
     def test_scaled_identity_is_yes_in_every_check(self, c):

@@ -392,6 +392,10 @@ class TestZMatrix:
     def test_float_slack(self):
         assert is_z_matrix(fl([[1, 1e-13], [0, 1]]))
         assert not is_z_matrix(fl([[1, 1e-11], [0, 1]]))
+        # the slack is Z_SLACK * max |M_ij|, so scaling changes no answer
+        for c in (1e-13, 1.0, 1e3, 1e13):
+            assert is_z_matrix(fl(c * np.array([[2, 1e-14], [-1, 2]]))), c
+            assert not is_z_matrix(fl(c * np.array([[2, 1], [1, 2]]))), c
 
     def test_exact_strict(self):
         assert not is_z_matrix(exact([[1, "1/1000000000000000"], [0, 1]]))

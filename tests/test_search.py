@@ -1,5 +1,6 @@
 """Polytope feasibility searches: general, symmetric, radius, Hurwitz."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -306,6 +307,31 @@ class TestGadgetCover:
         assert uncovered == [(5, 5, 2)]
 
 
+class TestWitnessRule:
+    """FEASIBLE needs a certify report that is Z with consensus YES."""
+
+    @staticmethod
+    def searches():
+        c5 = [m.to_float() for m in build_instance(corpus.cycle(5), 1).gadgets]
+        planted, _ = planted_symmetric_family(np.random.default_rng(3))
+        return (search_general(c5, budget=5000, seed=0),
+                search_symmetric(planted, tolerance=1e-6))
+
+    def test_feasible_with_the_real_certify(self):
+        for out in self.searches():
+            assert out.status is SearchStatus.FEASIBLE
+
+    def test_no_witness_without_z(self, monkeypatch):
+        real = mpoly.search.certify
+        monkeypatch.setattr(
+            mpoly.search, "certify",
+            lambda m: dataclasses.replace(real(m), is_z=False),
+        )
+        for out in self.searches():
+            assert out.status is not SearchStatus.FEASIBLE
+            assert out.certificate is None
+
+
 class TestSearchSymmetric:
     def test_planted_vertex(self):
         family = [
@@ -337,6 +363,18 @@ class TestSearchSymmetric:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotSymmetric):
             search_symmetric([Matrix.float64([[0, 1], [0, 0]])])
+        # max |A - A'| is compared with 1e-12 max |A_ij|, not with 1e-12
+        with pytest.raises(NotSymmetric):
+            search_symmetric([Matrix.float64(1e-13 * np.array([[1, 2], [0, 1]]))])
+
+    def test_rounding_level_asymmetry_passes_at_any_scale(self):
+        # a symmetric M-matrix with one entry off by 1e-15 relative
+        raw = np.random.default_rng(7).random((4, 4))
+        sym = 5.0 * np.eye(4) - (raw + raw.T)
+        sym[0, 1] *= 1.0 + 1e-15
+        for c in (1.0, 1e6):
+            out = search_symmetric([Matrix.float64(c * sym)])
+            assert out.status is SearchStatus.FEASIBLE, c
 
     def test_shifted_families_stop_at_first_witness(self, monkeypatch):
         # the gap between the first certified witness and the optimum takes
