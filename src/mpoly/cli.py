@@ -399,7 +399,9 @@ def build_parser() -> _Parser:
     p = subs.add_parser(
         "search",
         help="search for an M-matrix combination; an exact gadget family is "
-        "INFEASIBLE when a partition into at most j cliques re-checks",
+        "FEASIBLE at once when its greedy independent set has more than j "
+        "vertices, and INFEASIBLE when a partition into at most j cliques "
+        "re-checks",
     )
     p.add_argument("matrices")
     p.add_argument("--symmetric", action="store_true", help="certified convex path")

@@ -14,6 +14,7 @@ order; ties between restarts resolve to the lowest restart index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,20 @@ def _greedy_seed(masks: list[int], n: int) -> int:
         chosen |= 1 << v
         avail &= ~(masks[v] | 1 << v)
     return chosen
+
+
+@functools.lru_cache(maxsize=1)
+def _greedy_independent_set(g: Graph) -> tuple[int, ...]:
+    """The vertices of ``_greedy_seed`` on g, ascending.
+
+    :func:`clique_cover` and the gadget path of
+    :func:`search.search_general`, which asks for this set first and then
+    for a cover of the same graph, share the one computation through this
+    one-entry cache: the result depends on g alone, so the cache holds no
+    state that a caller can observe.
+    """
+    seed = _greedy_seed(g.neighbor_masks(), g.n)
+    return tuple(v for v in range(g.n) if seed >> v & 1)
 
 
 def max_independent_set(
@@ -106,10 +121,10 @@ def clique_cover(g: Graph, j: int) -> tuple[tuple[int, ...], ...] | None:
     """
     n = g.n
     masks = g.neighbor_masks()
-    seed = _greedy_seed(masks, n)
-    seeds = [v for v in range(n) if seed >> v & 1]
+    seeds = _greedy_independent_set(g)
     if len(seeds) > j:
         return None
+    seed = sum(1 << v for v in seeds)
     members = [1 << v for v in seeds]
     # joinable[p]: the vertices adjacent to every member of part p
     joinable = [masks[v] for v in seeds]

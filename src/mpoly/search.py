@@ -2,15 +2,17 @@
 
 Four entry points:
 
-* :func:`search_general` hunts for a convex combination that is a
-  nonsingular M-matrix by multi-start projected ascent on the smallest
-  leading principal minor (an exact M-matrix margin that needs no
-  eigensolves), plus a coarse simplex grid for small families. All starts
-  advance together, so a round costs a fixed few batched numpy calls. It
-  returns FEASIBLE only with a re-certified witness. It returns INFEASIBLE
-  only for an exact gadget family of some (G, j) whose vertices it can
-  partition into at most j cliques, a cover that is re-checked exactly and
-  proves det B(pi) <= 0 for every pi; otherwise it returns UNKNOWN, since
+* :func:`search_general` answers an exact gadget family of some (G, j)
+  from G when it can: FEASIBLE at the uniform point on the greedy
+  independent set S when |S| > j (det B = 1/j - 1/|S| > 0 there),
+  INFEASIBLE when the vertices partition into at most j cliques, a cover
+  that is re-checked exactly and proves det B(pi) <= 0 for every pi.
+  Every other family, and a gadget family that neither settles, takes a
+  multi-start projected ascent on the smallest leading principal minor
+  (an exact M-matrix margin that needs no eigensolves), plus a coarse
+  simplex grid for small families. All starts advance together, so a
+  round costs a fixed few batched numpy calls. The ascent answers
+  FEASIBLE with a re-certified witness and otherwise UNKNOWN, since
   absence of a found point proves nothing for this problem.
 * :func:`search_symmetric` solves the symmetric case, which is concave:
   maximize the smallest eigenvalue over the simplex cut by the linear
@@ -55,8 +57,12 @@ from . import config
 from .errors import DimensionMismatch, DomainError, NotSymmetric
 from .linalg import Matrix, Z_SLACK, _encode_scalar, leading_minors_batch
 from .mmatrix import CONSENSUS_YES, certify
-from .oracle import clique_cover, is_clique_cover
-from .reduction import convex_combination, instance_graph
+from .oracle import _greedy_independent_set, clique_cover, is_clique_cover
+from .reduction import (
+    convex_combination,
+    instance_graph,
+    witness_from_independent_set,
+)
 from .simplex import (
     SimplexPoint,
     project_rows_to_simplex,
@@ -214,17 +220,27 @@ def _line_search_round(x, fx, grads, step, merit):
 # -- general (nonsymmetric) M-matrix search ----------------------------------
 
 
-def _gadget_clique_cover(mats: Sequence[Matrix]) -> tuple | None:
-    """A re-checked partition into at most j cliques when `mats` is exactly
-    the gadget family of some (G, j), else None."""
+def _gadget_answer(mats: Sequence[Matrix]) -> SearchOutcome | None:
+    """The answer from G when `mats` is exactly the gadget family of some
+    (G, j), else None: FEASIBLE at the uniform point on the greedy
+    independent set S when |S| > j, which also rules out a partition into
+    j cliques, else INFEASIBLE with a re-checked partition."""
     found = instance_graph(mats)
     if found is None:
         return None
     g, j = found
+    independent = _greedy_independent_set(g)
+    if len(independent) > j:
+        point = witness_from_independent_set(g, independent)
+        report = _certified(mats, point)
+        if report is None:
+            return None
+        margins = dict(report.margins)
+        return _Tracker(0).outcome(SearchStatus.FEASIBLE, point, margins)
     cover = clique_cover(g, j)
     if cover is None or not is_clique_cover(g, cover, j):
         return None
-    return cover
+    return SearchOutcome(SearchStatus.INFEASIBLE, None, (), 0, clique_cover=cover)
 
 
 def search_general(
@@ -233,14 +249,19 @@ def search_general(
     """Heuristic feasibility search for an M-matrix convex combination.
 
     An all-exact family that equals ``build_instance(G, j).gadgets`` for
-    some (G, j) (see :func:`reduction.instance_graph`) is first given to
-    :func:`oracle.clique_cover`. When that finds a partition of the
-    vertices into at most j cliques and :func:`oracle.is_clique_cover`
-    re-checks it, the answer is INFEASIBLE, with the partition in
-    ``clique_cover`` and ``budget_spent = 0``. Every other family, and a
-    gadget family without such a partition (or whose partition search hits
-    its node cap), takes the search below, which answers FEASIBLE or
-    UNKNOWN, never INFEASIBLE.
+    some (G, j) (see :func:`reduction.instance_graph`) is first answered
+    from G, with ``budget_spent = 0`` and an empty trace. When the
+    min-degree greedy independent set S of G has more than j vertices, the
+    answer is FEASIBLE at the uniform exact point on S, once
+    :func:`_certified` accepts it; a reader can check that its support is
+    independent in O(n^2). Otherwise, when :func:`oracle.clique_cover`
+    finds a partition of the vertices into at most j cliques and
+    :func:`oracle.is_clique_cover` re-checks it, the answer is INFEASIBLE,
+    with the partition in ``clique_cover``. Every other family, and a
+    gadget family that neither settles (|S| <= j without such a partition,
+    a partition search that hits its node cap, or a point that
+    :func:`_certified` rejects), takes the search below, which answers
+    FEASIBLE or UNKNOWN, never INFEASIBLE.
 
     Merit is the smallest leading principal minor of the combination. The
     vertices, then (for k <= 4) the 1/8 grid, are each evaluated as one
@@ -261,11 +282,9 @@ def search_general(
     k = len(mats)
     exact_inputs = all(m.is_exact for m in mats)
     if exact_inputs:
-        cover = _gadget_clique_cover(mats)
-        if cover is not None:
-            return SearchOutcome(
-                SearchStatus.INFEASIBLE, None, (), 0, clique_cover=cover
-            )
+        res = _gadget_answer(mats)
+        if res is not None:
+            return res
     stack = np.stack([m.as_array() for m in mats])
     tol = config.tolerance()
     tracker = _Tracker(budget)

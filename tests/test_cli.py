@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -194,14 +195,27 @@ class TestOracleCommands:
 
 class TestSearchCommands:
     def test_search_feasible_exit_zero(self, workspace, tmp_path):
+        # the float copy is not recognised as a gadget family, so it takes the
+        # ascent; the exact family is answered from the greedy independent set
         inst = tmp_path / "inst.json"
         mpoly_cmd("reduce", str(workspace / "c5.col"), "1", "-o", str(inst))
-        res = mpoly_cmd("search", str(inst), "--json", "--seed", "0")
+        res = mpoly_cmd("search", str(inst), "--float", "--json", "--seed", "0")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert payload["status"] == "FEASIBLE"
         assert payload["certificate"] is not None
         assert payload["budget_spent"] > 0
+        res = mpoly_cmd("search", str(inst), "--json", "--seed", "0")
+        assert res.returncode == 0
+        payload = json.loads(res.stdout)
+        assert payload["status"] == "FEASIBLE"
+        assert payload["budget_spent"] == 0
+        weights = [Fraction(w) for w in payload["certificate"]]
+        support = [v for v, w in enumerate(weights) if w]
+        assert len(support) > 1
+        assert all(weights[v] == Fraction(1, len(support)) for v in support)
+        g = parse_graph(C5_TEXT)
+        assert not any(g.has_edge(u, v) for u in support for v in support)
 
     def test_search_unknown_exit_two(self, workspace, tmp_path):
         # the float copy is not recognised as a gadget family; the exact

@@ -31,6 +31,7 @@ from mpoly import (
     search_symmetric,
     spectral_radius,
 )
+from mpoly.oracle import _greedy_independent_set
 from mpoly.simplex import rationalize
 
 import corpus
@@ -166,12 +167,14 @@ class TestSearchGeneral:
             assert out.status is SearchStatus.UNKNOWN
             assert out.budget_spent <= budget
 
-    def test_exact_inputs_give_exact_certificate(self):
+    def test_exact_inputs_give_exact_certificate(self, monkeypatch):
         # alpha = 4 > j = 3; no vertex and no start point is feasible, so the
-        # certificate comes out of an ascent round
+        # certificate comes out of an ascent round (with recognition off,
+        # since the greedy independent set of the Petersen graph has 4
+        # vertices and would answer at once)
         g = corpus.petersen()
         inst = build_instance(g, 3)
-        out = search_general(inst.gadgets, seed=0)
+        out = ascent_only(inst.gadgets, monkeypatch, seed=0)
         assert out.status is SearchStatus.FEASIBLE
         assert out.budget_spent > 10 + 24
         assert out.certificate.is_exact
@@ -183,7 +186,8 @@ class TestSearchGeneral:
     def test_lowest_start_wins_a_round(self, monkeypatch):
         # path on 5 vertices, j = 2 < alpha = 3: vertices and the uniform
         # start are infeasible; starts 2 and 4 are both feasible at once, and
-        # start 4 has the better merit (the independent set's own point)
+        # start 4 has the better merit (the independent set's own point);
+        # recognition is off, since the greedy set {0, 2, 4} answers at once
         path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         inst = build_instance(path, 2)
         uniform = np.full(5, 0.2)
@@ -196,7 +200,7 @@ class TestSearchGeneral:
         )
         closed = [det_closed_form(path, 2, rationalize(w)) for w in (low, high)]
         assert 0 < closed[0] < closed[1]
-        out = search_general(inst.gadgets, seed=0)
+        out = ascent_only(inst.gadgets, monkeypatch, seed=0)
         assert out.certificate == rationalize(low)
         assert out.budget_spent == 5 + 24
 
@@ -305,6 +309,78 @@ class TestGadgetCover:
         # every graph on at most 5 vertices but C5 is perfect, so it has a
         # partition into alpha cliques; C5 needs 3 cliques and has alpha 2
         assert uncovered == [(5, 5, 2)]
+
+
+def greedy_feasible_cases():
+    """(g, j) over corpus.small_graphs() and every j where the greedy
+    independent set has more than j vertices."""
+    return [(g, j) for g in corpus.small_graphs() for j in range(1, g.n + 1)
+            if len(_greedy_independent_set(g)) > j]
+
+
+class TestGadgetWitness:
+    """An exact gadget family whose greedy independent set S has |S| > j is
+    FEASIBLE at the uniform point on S, with no evaluation spent."""
+
+    def test_every_small_graph_where_the_greedy_set_exceeds_j(self):
+        cases = greedy_feasible_cases()
+        assert len(cases) >= 50
+        for g, j in cases:
+            inst = build_instance(g, j)
+            out = search_general(inst.gadgets, budget=2000, seed=0)
+            assert out.status is SearchStatus.FEASIBLE, (g, j)
+            assert max_independent_set(g).alpha > j
+            assert out.budget_spent == 0
+            assert out.objective_trace == ()
+            assert out.clique_cover is None
+            weights = out.certificate.weights
+            support = [v for v, w in enumerate(weights) if w]
+            assert all(weights[v] == Fraction(1, len(support)) for v in support)
+            assert len(support) > j
+            assert not any(g.has_edge(u, v) for u in support for v in support)
+            assert det_closed_form(g, j, out.certificate) > 0
+            report = certify(convex_combination(inst.gadgets, out.certificate))
+            assert report.is_z and report.consensus == "YES"
+            assert out.margins == dict(report.margins)
+            assert set(out.to_json_dict()) == {
+                "status", "certificate", "margins", "budget_spent"}
+
+    def test_small_greedy_set_falls_back_to_the_ascent(self):
+        # min-degree greedy takes 0, which leaves the triangle {2, 4, 5}, so
+        # its set is {0, 2}; alpha = 3 at {1, 3, 5}
+        g = Graph.from_edges(6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4),
+                                 (2, 5), (4, 5)])
+        assert len(_greedy_independent_set(g)) == 2
+        assert max_independent_set(g).alpha == 3
+        inst = build_instance(g, 2)
+        out = search_general(inst.gadgets, seed=0)
+        assert out.status is SearchStatus.FEASIBLE
+        assert out.budget_spent > 0
+        assert det_closed_form(g, 2, out.certificate) > 0
+
+    def test_no_witness_without_z(self, monkeypatch):
+        c5 = build_instance(corpus.cycle(5), 1).gadgets
+        assert search_general(c5, budget=3000, seed=0).status is SearchStatus.FEASIBLE
+        real = mpoly.search.certify
+        monkeypatch.setattr(
+            mpoly.search, "certify",
+            lambda m: dataclasses.replace(real(m), is_z=False),
+        )
+        out = search_general(c5, budget=3000, seed=0)
+        assert out.status is not SearchStatus.FEASIBLE
+        assert out.certificate is None
+        assert out.budget_spent > 0  # the rejected point fell through to the ascent
+
+    def test_one_certify_call_per_answer(self, monkeypatch):
+        calls = []
+        real = mpoly.search.certify
+        monkeypatch.setattr(
+            mpoly.search, "certify", lambda m: calls.append(m) or real(m))
+        for g, j in greedy_feasible_cases():
+            calls.clear()
+            out = search_general(build_instance(g, j).gadgets, seed=0)
+            assert out.status is SearchStatus.FEASIBLE
+            assert len(calls) == 1, (g, j)
 
 
 class TestWitnessRule:
