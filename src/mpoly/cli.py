@@ -400,8 +400,9 @@ def build_parser() -> _Parser:
         "search",
         help="search for an M-matrix combination; an exact gadget family is "
         "FEASIBLE at once when its greedy independent set has more than j "
-        "vertices, and INFEASIBLE when a partition into at most j cliques "
-        "re-checks",
+        "vertices, INFEASIBLE when a partition into at most j cliques "
+        "re-checks, and otherwise FEASIBLE when its maximum independent set "
+        "has more than j vertices",
     )
     p.add_argument("matrices")
     p.add_argument("--symmetric", action="store_true", help="certified convex path")
@@ -415,12 +416,21 @@ def build_parser() -> _Parser:
     _add_common(p, budget=True, seed=True, backing=True)
     p.set_defaults(func=cmd_search)
 
-    p = subs.add_parser("radius-min", help="minimize spectral radius of combinations")
+    p = subs.add_parser(
+        "radius-min",
+        help="minimize spectral radius of combinations; on exact nonnegative "
+        "parts I - B of a gadget family it prints the exact minimum's weights, "
+        "uniform on a maximum independent set",
+    )
     p.add_argument("matrices")
     _add_common(p, budget=True, seed=True, backing=True)
     p.set_defaults(func=cmd_radius_min)
 
-    p = subs.add_parser("hurwitz-search", help="search for a Hurwitz combination")
+    p = subs.add_parser(
+        "hurwitz-search",
+        help="search for a Hurwitz combination; an exact negated gadget family "
+        "is answered like search, so it may exit 1 with a clique_cover",
+    )
     p.add_argument("matrices")
     _add_common(p, budget=True, seed=True, backing=True)
     p.set_defaults(func=cmd_hurwitz)

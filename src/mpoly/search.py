@@ -1,17 +1,22 @@
 """Feasibility search over matrix polytopes.
 
-Four entry points:
+Four entry points. Three of them (:func:`search_general`,
+:func:`minimize_spectral_radius` and :func:`hurwitz_search`) pose the three
+problems that the gadget reduction makes NP-hard. On an exact gadget family
+of some (G, j) all three come down to alpha(G) > j, and each answers such a
+family from G when it can:
 
-* :func:`search_general` answers an exact gadget family of some (G, j)
-  from G when it can: FEASIBLE at the uniform point on the greedy
-  independent set S when |S| > j (det B = 1/j - 1/|S| > 0 there),
-  INFEASIBLE when the vertices partition into at most j cliques, a cover
-  that is re-checked exactly and proves det B(pi) <= 0 for every pi.
-  Every other family, and a gadget family that neither settles, takes a
-  multi-start projected ascent on the smallest leading principal minor
-  (an exact M-matrix margin that needs no eigensolves), plus a coarse
-  simplex grid for small families. All starts advance together, so a
-  round costs a fixed few batched numpy calls. The ascent answers
+* :func:`search_general` answers a gadget family by one gadget decision:
+  FEASIBLE at the uniform point on the greedy independent set S when
+  |S| > j (det B = 1/j - 1/|S| > 0 there), INFEASIBLE when the vertices
+  partition into at most j cliques, a cover that is re-checked exactly and
+  proves det B(pi) <= 0 for every pi, and otherwise FEASIBLE at the uniform
+  point on an exact maximum independent set of more than j vertices.
+  Every other family, and a gadget family that none of these settles,
+  takes a multi-start projected ascent on the smallest leading principal
+  minor (an exact M-matrix margin that needs no eigensolves), plus a
+  coarse simplex grid for small families. All starts advance together, so
+  a round costs a fixed few batched numpy calls. The ascent answers
   FEASIBLE with a re-certified witness and otherwise UNKNOWN, since
   absence of a found point proves nothing for this problem.
 * :func:`search_symmetric` solves the symmetric case, which is concave:
@@ -20,12 +25,17 @@ Four entry points:
   certified upper bound on the optimum. It stops at the first certified
   witness, so its margins are those at exit, not at the optimum. It may
   return INFEASIBLE.
-* :func:`minimize_spectral_radius` descends on the spectral radius of a
-  combination of nonnegative matrices (Perron left/right eigenvector
+* :func:`minimize_spectral_radius` returns the exact minimum on the
+  nonnegative parts I - B of a gadget family: the uniform point on a
+  maximum independent set, where the rank-2 radius is least. Other
+  families descend on the spectral radius (Perron left/right eigenvector
   gradient when the radius is simple, finite differences otherwise; one
   eig plus one shifted solve per round).
-* :func:`hurwitz_search` descends on the spectral abscissa and certifies
-  Hurwitz witnesses by re-computing eigenvalues.
+* :func:`hurwitz_search` answers a negated gadget family by the gadget
+  decision of :func:`search_general` (a Z-matrix is positive stable iff
+  it is a nonsingular M-matrix), so it may answer INFEASIBLE with a
+  clique cover. Other families descend on the spectral abscissa, and
+  their Hurwitz witnesses are certified by re-computing eigenvalues.
 
 All searches are deterministic for a fixed seed. The general search and
 the spectral descents move their starts in lockstep rounds that share one
@@ -35,9 +45,11 @@ that cross the tolerance in one round, the general search re-certifies the
 lowest start index first; the spectral descents keep the best value found,
 ties to the lowest start.
 
-Each decision is made in one place. :func:`_certified` is the one witness
-rule of both M-matrix searches: a point is a FEASIBLE witness only when
-:func:`mmatrix.certify` finds its combination a Z-matrix with consensus YES.
+Each decision is made in one place. :func:`_gadget_answer` is the one
+gadget decision of the general and Hurwitz searches. :func:`_certified` is
+the one witness rule of both M-matrix searches and of the Hurwitz gadget
+answer: a point is a FEASIBLE witness only when :func:`mmatrix.certify`
+finds its combination a Z-matrix with consensus YES.
 Every outcome but the clique-cover INFEASIBLE one is built by
 :meth:`_Tracker.outcome` from the tracker that counted the evaluations.
 """
@@ -46,7 +58,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -54,10 +66,15 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import config
-from .errors import DimensionMismatch, DomainError, NotSymmetric
+from .errors import BudgetExceeded, DimensionMismatch, DomainError, NotSymmetric
 from .linalg import Matrix, Z_SLACK, _encode_scalar, leading_minors_batch
 from .mmatrix import CONSENSUS_YES, certify
-from .oracle import _greedy_independent_set, clique_cover, is_clique_cover
+from .oracle import (
+    _greedy_independent_set,
+    clique_cover,
+    is_clique_cover,
+    max_independent_set,
+)
 from .reduction import (
     convex_combination,
     instance_graph,
@@ -220,27 +237,47 @@ def _line_search_round(x, fx, grads, step, merit):
 # -- general (nonsymmetric) M-matrix search ----------------------------------
 
 
-def _gadget_answer(mats: Sequence[Matrix]) -> SearchOutcome | None:
-    """The answer from G when `mats` is exactly the gadget family of some
-    (G, j), else None: FEASIBLE at the uniform point on the greedy
-    independent set S when |S| > j, which also rules out a partition into
-    j cliques, else INFEASIBLE with a re-checked partition."""
-    found = instance_graph(mats)
+def _exact_independent_set(g):
+    """A maximum independent set of g, or None when
+    :func:`oracle.max_independent_set` refuses it (n > 30, or its node
+    budget runs out)."""
+    try:
+        return max_independent_set(g).witness
+    except (DomainError, BudgetExceeded):
+        return None
+
+
+def _gadget_answer(gadgets: Sequence[Matrix]) -> SearchOutcome | None:
+    """The answer from G when `gadgets` is exactly the gadget family of some
+    (G, j), else None.
+
+    FEASIBLE at the uniform point on the greedy independent set S when
+    |S| > j, which also rules out a partition into j cliques. Otherwise
+    INFEASIBLE with a re-checked partition into at most j cliques, and when
+    no partition is found, FEASIBLE at the uniform point on a maximum
+    independent set of more than j vertices. A FEASIBLE point must pass
+    :func:`_certified`. The cover is tried before the exact set, so a
+    covered family pays nothing for it.
+    """
+    found = instance_graph(gadgets)
     if found is None:
         return None
     g, j = found
     independent = _greedy_independent_set(g)
-    if len(independent) > j:
-        point = witness_from_independent_set(g, independent)
-        report = _certified(mats, point)
-        if report is None:
+    if len(independent) <= j:
+        cover = clique_cover(g, j)
+        if cover is not None and is_clique_cover(g, cover, j):
+            return SearchOutcome(
+                SearchStatus.INFEASIBLE, None, (), 0, clique_cover=cover
+            )
+        independent = _exact_independent_set(g)
+        if independent is None or len(independent) <= j:
             return None
-        margins = dict(report.margins)
-        return _Tracker(0).outcome(SearchStatus.FEASIBLE, point, margins)
-    cover = clique_cover(g, j)
-    if cover is None or not is_clique_cover(g, cover, j):
+    point = witness_from_independent_set(g, independent)
+    report = _certified(gadgets, point)
+    if report is None:
         return None
-    return SearchOutcome(SearchStatus.INFEASIBLE, None, (), 0, clique_cover=cover)
+    return _Tracker(0).outcome(SearchStatus.FEASIBLE, point, dict(report.margins))
 
 
 def search_general(
@@ -257,11 +294,13 @@ def search_general(
     independent in O(n^2). Otherwise, when :func:`oracle.clique_cover`
     finds a partition of the vertices into at most j cliques and
     :func:`oracle.is_clique_cover` re-checks it, the answer is INFEASIBLE,
-    with the partition in ``clique_cover``. Every other family, and a
-    gadget family that neither settles (|S| <= j without such a partition,
-    a partition search that hits its node cap, or a point that
-    :func:`_certified` rejects), takes the search below, which answers
-    FEASIBLE or UNKNOWN, never INFEASIBLE.
+    with the partition in ``clique_cover``. Otherwise, when the exact
+    :func:`oracle.max_independent_set` has more than j vertices, the answer
+    is FEASIBLE at the uniform exact point on it, once :func:`_certified`
+    accepts it. Every other family, and a gadget family that none of these
+    settles (alpha <= j without such a partition, n > 30, a search that
+    hits its node cap, or a point that :func:`_certified` rejects), takes
+    the search below, which answers FEASIBLE or UNKNOWN, never INFEASIBLE.
 
     Merit is the smallest leading principal minor of the combination. The
     vertices, then (for k <= 4) the 1/8 grid, are each evaluated as one
@@ -633,11 +672,30 @@ def _descend_spectral(
 def minimize_spectral_radius(
     matrices: Sequence[Matrix], budget: int = 50_000, seed: int = 0
 ) -> tuple[SimplexPoint, float]:
-    """Best (weights, spectral radius) found over combinations of nonnegative
-    matrices. The "radius below one" reading of the result is advisory and
-    should be cross-checked by certifying I minus the combination."""
+    """(weights, spectral radius) of the best combination of nonnegative
+    matrices found, with the radius computed in float at those weights.
+
+    An all-exact family whose matrices are I minus ``build_instance(G, j)``'s
+    gadgets (``nonneg_parts(G, j)``) is answered from G with its exact
+    minimum. There N(pi) = I - B(pi) = [[0, (I + C) pi], [pi', 1 - 1/j]]
+    has rank at most 2, and its nonzero eigenvalues are the roots of
+    lam^2 - (1 - 1/j) lam - pi'(I + C) pi, so the radius is
+    ((1 - 1/j) + sqrt((1 - 1/j)^2 + 4 pi'(I + C) pi)) / 2, which rises with
+    the form. By Motzkin and Straus the form's least value over the simplex
+    is 1/alpha, at the uniform point on a maximum independent set, so that
+    exact point is returned and the minimum radius is
+    ((1 - 1/j) + sqrt((1 - 1/j)^2 + 4/alpha)) / 2, below 1 iff alpha > j.
+    Every other family, and a gadget family whose maximum independent set
+    :func:`oracle.max_independent_set` refuses (n > 30, or its node budget
+    runs out), takes the multi-start descent of :func:`_descend_spectral`,
+    whose best point is a local minimum only, so "radius below one" is
+    then proven only by certifying I minus the combination. Raises
+    DomainError for a negative entry or a budget below 1.
+    """
     mats = list(matrices)
-    _validate_family(mats)
+    n = _validate_family(mats)
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
     for idx, m in enumerate(mats):
         if m.is_exact:
             if any(x < 0 for row in m.rows() for x in row):
@@ -645,8 +703,17 @@ def minimize_spectral_radius(
         elif float(m.as_array().min()) < 0.0:
             raise DomainError(f"matrix {idx} has a negative entry")
     stack = np.stack([m.as_array() for m in mats])
-    tracker = _descend_spectral(stack, budget, seed, radius=True)
-    point = SimplexPoint.from_floats(tracker.best_point)
+    point = None
+    if all(m.is_exact for m in mats):
+        eye = Matrix.identity(n, exact=True)
+        found = instance_graph([eye - m for m in mats])
+        if found is not None:
+            independent = _exact_independent_set(found[0])
+            if independent is not None:
+                point = witness_from_independent_set(found[0], independent)
+    if point is None:
+        tracker = _descend_spectral(stack, budget, seed, radius=True)
+        point = SimplexPoint.from_floats(tracker.best_point)
     return point, float(_spectral_values(stack, point.to_floats()[None], True)[0])
 
 
@@ -655,13 +722,37 @@ def hurwitz_search(
 ) -> SearchOutcome:
     """Search for a Hurwitz-stable convex combination.
 
-    Descends on the spectral abscissa and stops after the first round whose
-    best value is below -tolerance; FEASIBLE requires the certificate's
-    eigenvalues, recomputed from scratch, to all sit below -tolerance.
-    Never INFEASIBLE.
+    An all-exact family whose negation is ``build_instance(G, j).gadgets``
+    is first answered from G by the gadget decision of
+    :func:`search_general`, with ``budget_spent = 0``. Every gadget
+    combination B(pi) is a Z-matrix, and a Z-matrix is positive stable iff
+    it is a nonsingular M-matrix (Berman and Plemmons, Ch. 6). So FEASIBLE
+    comes with the certify report of B(pi) at the uniform exact point on
+    an independent set of more than j vertices, and its
+    ``spectral_abscissa`` margin is minus the POS_STABLE margin;
+    INFEASIBLE comes with a partition of the vertices into at most j
+    cliques in ``clique_cover``, re-checked by :func:`oracle.is_clique_cover`,
+    which proves that no B(pi) is a nonsingular M-matrix, so that no
+    combination -B(pi) is Hurwitz.
+
+    Every other family, and a gadget family the decision does not settle,
+    takes a descent on the spectral abscissa that stops after the first
+    round whose best value is below -tolerance; FEASIBLE then requires the
+    certificate's eigenvalues, recomputed from scratch, to all sit below
+    -tolerance, and otherwise the answer is UNKNOWN. Raises DomainError for
+    a budget below 1.
     """
     mats = list(matrices)
     _validate_family(mats)
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
+    if all(m.is_exact for m in mats):
+        res = _gadget_answer([-m for m in mats])
+        if res is not None:
+            if res.status is SearchStatus.FEASIBLE:
+                abscissa = -res.margins["POS_STABLE"]
+                res = replace(res, margins={**res.margins, "spectral_abscissa": abscissa})
+            return res
     stack = np.stack([m.as_array() for m in mats])
     tol = config.tolerance()
     tracker = _descend_spectral(stack, budget, seed, radius=False, stop_below=-tol)

@@ -15,6 +15,7 @@ from mpoly import (
     SearchStatus,
     build_instance,
     is_clique_cover,
+    nonneg_parts,
     parse_graph,
 )
 from mpoly.cli import run_pipeline
@@ -275,6 +276,37 @@ class TestSearchCommands:
         path.write_text('[{"n":1,"entries":[[-1.0]],"exact":false}]')
         res = mpoly_cmd("radius-min", str(path))
         assert res.returncode == 65
+
+    def test_radius_min_exact_gadget_parts(self, tmp_path):
+        # I minus the gadgets of C5 at j = 1: the exact minimum sits at the
+        # uniform point on a maximum independent set, and alpha = 2 > j
+        path = tmp_path / "parts.json"
+        path.write_text(matrices_to_json(nonneg_parts(parse_graph(C5_TEXT), 1)))
+        res = mpoly_cmd("radius-min", str(path), "--json")
+        assert res.returncode == 0
+        payload = json.loads(res.stdout)
+        assert payload["below_one"] is True
+        assert payload["cross_check_consensus"] == "YES"
+        weights = [Fraction(w) for w in payload["weights"]]
+        support = [v for v, w in enumerate(weights) if w]
+        assert len(support) == 2
+        assert all(weights[v] == Fraction(1, 2) for v in support)
+        g = parse_graph(C5_TEXT)
+        assert not g.has_edge(*support)
+
+    def test_hurwitz_exact_negated_gadgets_exit_one(self, tmp_path):
+        # C4 splits into the cliques {1, 2} and {3, 4}, so alpha = 2 = j
+        g = corpus.cycle(4)
+        path = tmp_path / "negated.json"
+        path.write_text(matrices_to_json([-m for m in build_instance(g, 2).gadgets]))
+        res = mpoly_cmd("hurwitz-search", str(path), "--json")
+        assert res.returncode == 1
+        payload = json.loads(res.stdout)
+        assert payload["status"] == "INFEASIBLE"
+        assert payload["budget_spent"] == 0
+        cover = [[v - 1 for v in part] for part in payload["clique_cover"]]
+        assert all(1 <= v <= 4 for part in payload["clique_cover"] for v in part)
+        assert is_clique_cover(g, cover, 2)
 
     def test_hurwitz(self, tmp_path):
         path = tmp_path / "negid.json"

@@ -1,6 +1,7 @@
 """Polytope feasibility searches: general, symmetric, radius, Hurwitz."""
 
 import dataclasses
+import math
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import mpoly.search
 from mpoly import (
+    BudgetExceeded,
     DimensionMismatch,
     DomainError,
     Graph,
@@ -30,6 +32,7 @@ from mpoly import (
     search_general,
     search_symmetric,
     spectral_radius,
+    witness_from_independent_set,
 )
 from mpoly.oracle import _greedy_independent_set
 from mpoly.simplex import rationalize
@@ -231,6 +234,23 @@ def ascent_only(mats, monkeypatch, **kwargs):
         return search_general(mats, **kwargs)
 
 
+def count_descents(monkeypatch) -> list:
+    """The calls of the spectral descent from here on, one entry each."""
+    calls = []
+    real = mpoly.search._descend_spectral
+    monkeypatch.setattr(mpoly.search, "_descend_spectral",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def hurwitz_over(graphs, budget=300):
+    """(g, j, outcome) of hurwitz_search on the negated gadget family of
+    every graph in `graphs` at every j."""
+    return [(g, j, hurwitz_search([-m for m in build_instance(g, j).gadgets],
+                                  budget=budget, seed=0))
+            for g in graphs for j in range(1, g.n + 1)]
+
+
 K3_J2 = build_instance(corpus.complete(3), 2).gadgets
 
 
@@ -318,9 +338,20 @@ def greedy_feasible_cases():
             if len(_greedy_independent_set(g)) > j]
 
 
+SIX_VERTEX_GREEDY_MISS = Graph.from_edges(
+    6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (4, 5)])
+
+
+def refuse_exact_set(g):
+    """Stands in for max_independent_set when its node budget runs out."""
+    raise BudgetExceeded("node budget")
+
+
 class TestGadgetWitness:
     """An exact gadget family whose greedy independent set S has |S| > j is
-    FEASIBLE at the uniform point on S, with no evaluation spent."""
+    FEASIBLE at the uniform point on S, with no evaluation spent; one with
+    alpha > j >= |S| is FEASIBLE at the uniform point on an exact maximum
+    independent set."""
 
     def test_every_small_graph_where_the_greedy_set_exceeds_j(self):
         cases = greedy_feasible_cases()
@@ -345,15 +376,29 @@ class TestGadgetWitness:
             assert set(out.to_json_dict()) == {
                 "status", "certificate", "margins", "budget_spent"}
 
-    def test_small_greedy_set_falls_back_to_the_ascent(self):
+    def test_small_greedy_set_takes_the_exact_set(self):
         # min-degree greedy takes 0, which leaves the triangle {2, 4, 5}, so
-        # its set is {0, 2}; alpha = 3 at {1, 3, 5}
-        g = Graph.from_edges(6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4),
-                                 (2, 5), (4, 5)])
+        # its set is {0, 2}; alpha = 3 at {1, 3, 5}, and the exact set is
+        # the witness once no partition into 2 cliques is found
+        g = SIX_VERTEX_GREEDY_MISS
         assert len(_greedy_independent_set(g)) == 2
         assert max_independent_set(g).alpha == 3
         inst = build_instance(g, 2)
         out = search_general(inst.gadgets, seed=0)
+        assert out.status is SearchStatus.FEASIBLE
+        assert out.budget_spent == 0
+        assert out.certificate == witness_from_independent_set(g, {1, 3, 5})
+        report = certify(convex_combination(inst.gadgets, out.certificate))
+        assert report.is_z and report.consensus == "YES"
+        assert out.margins == dict(report.margins)
+
+    def test_refused_exact_set_takes_the_ascent(self, monkeypatch):
+        # the ascent finds a witness for this family on its own
+        g = SIX_VERTEX_GREEDY_MISS
+        gadgets = build_instance(g, 2).gadgets
+        monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
+        out = search_general(gadgets, seed=0)
+        assert out == ascent_only(gadgets, monkeypatch, seed=0)
         assert out.status is SearchStatus.FEASIBLE
         assert out.budget_spent > 0
         assert det_closed_form(g, 2, out.certificate) > 0
@@ -514,6 +559,43 @@ class TestMinimizeSpectralRadius:
         with pytest.raises(DomainError):
             minimize_spectral_radius([Matrix.float64([[0, -0.1], [0, 0]])])
 
+    def test_gadget_parts_give_the_closed_form_minimum(self, monkeypatch):
+        descents = count_descents(monkeypatch)
+        # on the six-vertex graph the greedy set is smaller than alpha
+        for g in corpus.small_graphs() + [SIX_VERTEX_GREEDY_MISS]:
+            alpha = max_independent_set(g).alpha
+            for j in range(1, g.n + 1):
+                pt, rho = minimize_spectral_radius(nonneg_parts(g, j), seed=0)
+                a = 1 - 1 / j
+                closed_form = (a + math.sqrt(a * a + 4 / alpha)) / 2
+                assert rho == pytest.approx(closed_form, rel=0, abs=1e-12), (g, j)
+                support = [v for v, w in enumerate(pt.weights) if w]
+                assert len(support) == alpha
+                # uniform on the support, which must be independent
+                assert pt == witness_from_independent_set(g, support)
+                assert (rho < 1 - 1e-9) == (alpha > j), (g, j)
+        assert descents == []
+
+    def test_other_families_take_the_descent(self, monkeypatch):
+        parts = nonneg_parts(corpus.cycle(5), 1)
+        moved = [with_entry(parts[0], 0, 0, Fraction(1, 2))] + parts[1:]
+        descents = count_descents(monkeypatch)
+        for family in ([p.to_float() for p in parts], moved):
+            minimize_spectral_radius(family, budget=500, seed=0)
+        assert len(descents) == 2
+        monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
+        minimize_spectral_radius(parts, budget=500, seed=0)
+        assert len(descents) == 3
+
+    def test_exact_minimum_is_never_above_the_descent(self):
+        for g in corpus.small_graphs(4):
+            for j in range(1, g.n + 1):
+                parts = nonneg_parts(g, j)
+                _, rho = minimize_spectral_radius(parts, seed=0)
+                _, descended = minimize_spectral_radius(
+                    [p.to_float() for p in parts], seed=0)
+                assert rho <= descended + 1e-12, (g, j)
+
     def test_cross_check_against_certification(self):
         rng = np.random.default_rng(42)
         for g in corpus.small_graphs(4)[::5]:
@@ -544,6 +626,55 @@ class TestHurwitzSearch:
     def test_negative_identity(self):
         out = hurwitz_search([-Matrix.identity(3)], budget=500)
         assert out.status is SearchStatus.FEASIBLE
+
+    def test_gadget_decision_over_small_graphs(self):
+        unknown = []
+        for g in corpus.small_graphs() + [SIX_VERTEX_GREEDY_MISS]:
+            alpha = max_independent_set(g).alpha
+            for j in range(1, g.n + 1):
+                gadgets = build_instance(g, j).gadgets
+                negated = [-m for m in gadgets]
+                out = hurwitz_search(negated, budget=500, seed=0)
+                if out.status is SearchStatus.FEASIBLE:
+                    assert alpha > j and out.budget_spent == 0, (g, j)
+                    report = certify(convex_combination(gadgets, out.certificate))
+                    assert report.is_z and report.consensus == "YES"
+                    abscissa = -report.margins["POS_STABLE"]
+                    assert out.margins == {**report.margins,
+                                           "spectral_abscissa": abscissa}
+                    combo = convex_combination(negated, out.certificate).to_float()
+                    assert max(z.real for z in eigenvalues(combo)) == \
+                        pytest.approx(abscissa, rel=1e-9)
+                elif out.status is SearchStatus.INFEASIBLE:
+                    assert alpha <= j and out.budget_spent == 0, (g, j)
+                    assert is_clique_cover(g, out.clique_cover, j)
+                else:
+                    unknown.append((g.n, len(g.edges), j))
+        # C5 at j = 2 has alpha = j and no partition into 2 cliques
+        assert unknown == [(5, 5, 2)]
+
+    def test_no_infeasible_without_the_cover_check(self, monkeypatch):
+        monkeypatch.setattr(mpoly.search, "is_clique_cover", lambda g, parts, j: False)
+        for g, j, out in hurwitz_over(corpus.small_graphs(4)):
+            assert out.status is not SearchStatus.INFEASIBLE, (g, j)
+
+    def test_no_gadget_witness_without_z(self, monkeypatch):
+        real = mpoly.search.certify
+        monkeypatch.setattr(
+            mpoly.search, "certify",
+            lambda m: dataclasses.replace(real(m), is_z=False),
+        )
+        for g, j, out in hurwitz_over(corpus.small_graphs(4)):
+            gadget_path = out.budget_spent == 0
+            assert not (out.status is SearchStatus.FEASIBLE and gadget_path), (g, j)
+
+    def test_relabelling_keeps_the_status(self):
+        rng = np.random.default_rng(11)
+        for g in corpus.small_graphs():
+            perm = [int(v) for v in rng.permutation(g.n)]
+            h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            for (_, j, a), (_, _, b) in zip(hurwitz_over([g]), hurwitz_over([h])):
+                assert a.status is b.status, (g, perm, j)
 
     def test_trace_monotone(self):
         inst = build_instance(corpus.cycle(4), 2)
@@ -663,6 +794,15 @@ class TestSpectralDescent:
             out = hurwitz_search(family, budget=budget, seed=0)
             assert out.status is SearchStatus.UNKNOWN
             assert out.budget_spent <= budget
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_rejected(self, budget):
+        # a budget of 0 used to spend the uniform point's evaluation anyway
+        with pytest.raises(DomainError):
+            minimize_spectral_radius([Matrix.float64([[0, 1], [1, 0]])],
+                                     budget=budget)
+        with pytest.raises(DomainError):
+            hurwitz_search([-Matrix.identity(2)], budget=budget)
 
     def test_deterministic_given_seed(self):
         parts = [p.to_float() for p in nonneg_parts(corpus.cycle(6), 2)]
