@@ -51,6 +51,7 @@ from .oracle import (
     clique_cover,
     extract_independent_set,
     is_clique_cover,
+    is_fractional_clique_cover,
     max_independent_set,
     motzkin_straus_min,
 )

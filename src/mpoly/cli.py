@@ -25,7 +25,12 @@ from . import config
 from .errors import DomainError
 from .linalg import Matrix, matrices_from_json, matrices_to_json
 from .mmatrix import certify
-from .oracle import alpha_lower_bound, max_independent_set, motzkin_straus_min
+from .oracle import (
+    alpha_lower_bound,
+    extract_independent_set,
+    max_independent_set,
+    motzkin_straus_min,
+)
 from .reduction import build_instance, convex_combination, parse_graph
 from .search import (
     SearchStatus,
@@ -196,11 +201,15 @@ def cmd_ms_solve(args) -> int:
         graph, restarts=args.restarts, iters=args.iters, seed=args.seed
     )
     bound = alpha_lower_bound(result.value)
+    # an independent set rounded from the minimizer: a reader can check it
+    # in O(n^2), unlike the float-derived bound
+    independent = sorted(v + 1 for v in extract_independent_set(graph, result.minimizer))
     payload = {
         "value": result.value,
         "minimizer": result.minimizer.to_json_list(),
         "restarts_used": result.restarts_used,
         "alpha_lower_bound": bound,
+        "independent_set": independent,
     }
     _emit(
         args,
@@ -208,6 +217,7 @@ def cmd_ms_solve(args) -> int:
         [
             f"value={result.value:.12g}",
             f"alpha_lower_bound={bound}",
+            f"independent_set={independent}",
             f"restarts={result.restarts_used}",
         ],
     )
@@ -389,7 +399,12 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_alpha)
 
-    p = subs.add_parser("ms-solve", help="minimize the simplex quadratic form")
+    p = subs.add_parser(
+        "ms-solve",
+        help="minimize the simplex quadratic form; reports the float-derived "
+        "alpha_lower_bound and an independent_set (1-based) rounded from the "
+        "minimizer, which a reader can check",
+    )
     p.add_argument("graph")
     p.add_argument("--restarts", type=_positive_int, default=None)
     p.add_argument("--iters", type=_positive_int, default=1000)
@@ -401,8 +416,10 @@ def build_parser() -> _Parser:
         help="search for an M-matrix combination; an exact gadget family is "
         "FEASIBLE at once when its greedy independent set has more than j "
         "vertices, INFEASIBLE when a partition into at most j cliques "
-        "re-checks, and otherwise FEASIBLE when its maximum independent set "
-        "has more than j vertices",
+        "re-checks, FEASIBLE when its maximum independent set has more than "
+        "j vertices, and otherwise INFEASIBLE when a fractional clique cover "
+        "of total weight below j + 1 re-checks (a proof that rests on the "
+        "Motzkin-Straus theorem)",
     )
     p.add_argument("matrices")
     p.add_argument("--symmetric", action="store_true", help="certified convex path")
@@ -429,13 +446,19 @@ def build_parser() -> _Parser:
     p = subs.add_parser(
         "hurwitz-search",
         help="search for a Hurwitz combination; an exact negated gadget family "
-        "is answered like search, so it may exit 1 with a clique_cover",
+        "is answered like search, so it may exit 1 with a clique_cover or a "
+        "fractional_clique_cover",
     )
     p.add_argument("matrices")
     _add_common(p, budget=True, seed=True, backing=True)
     p.set_defaults(func=cmd_hurwitz)
 
-    p = subs.add_parser("pipeline", help="reduce, search, and compare to the oracle")
+    p = subs.add_parser(
+        "pipeline",
+        help="reduce, search, and compare to the oracle; the search answers "
+        "as search does, so every alpha <= j call whose graph has a partition "
+        "into j cliques or a fractional clique cover below j + 1 is INFEASIBLE",
+    )
     p.add_argument("graph")
     p.add_argument("j", type=_positive_int)
     _add_common(p, budget=True, seed=True)

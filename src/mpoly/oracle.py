@@ -2,14 +2,16 @@
 
 Exact maximum independent set by budgeted branch and bound, a capped
 search for a partition of the vertices into at most j cliques (which
-proves alpha <= j) with an independent exact checker, and a
-multi-start projected-gradient minimizer for the quadratic form
-y' (I + C) y over the probability simplex, whose global minimum equals
-1/alpha(G). Each round of the minimizer searches exactly along the
-projected-gradient ray of every live restart, and a restart retires as
-soon as it stops moving. Restart start points depend only on the seed and
-restart index, so results are reproducible and independent of execution
-order; ties between restarts resolve to the lowest restart index.
+proves alpha <= j) with an independent exact checker, capped enumeration
+of the maximal cliques with an exact checker for fractional clique covers
+(which also prove alpha <= j), and a multi-start projected-gradient
+minimizer for the quadratic form y' (I + C) y over the probability simplex,
+whose global minimum equals 1/alpha(G). Each round of the minimizer
+searches exactly along the projected-gradient ray of every live restart,
+and a restart retires as soon as it stops moving. Restart start points
+depend only on the seed and restart index, so results are reproducible and
+independent of execution order; ties between restarts resolve to the lowest
+restart index.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +30,8 @@ from .simplex import SimplexPoint, project_rows_to_simplex, sample_simplex_rows
 MAX_EXACT_VERTICES = 30
 DEFAULT_NODE_BUDGET = 100_000_000
 STATIONARITY_TOL = 1e-10
-# nodes the clique-cover search may visit before it gives up undecided
+# nodes the clique-cover search and the maximal-clique enumeration may each
+# visit before they give up undecided
 CLIQUE_COVER_NODE_CAP = 10_000
 
 
@@ -207,6 +211,77 @@ def is_clique_cover(g: Graph, parts, j: int) -> bool:
     return all(seen)
 
 
+def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...] | None:
+    """Every maximal clique of g, or None past CLIQUE_COVER_NODE_CAP nodes.
+
+    Bron-Kerbosch with pivoting over neighbour masks: a node holds a clique
+    R, the candidates P adjacent to all of R and the vertices X already
+    tried, and branches only on the candidates that are not neighbours of
+    the pivot, the vertex of P | X with the most neighbours in P. R is
+    reported when P and X are both empty, so each maximal clique appears
+    once. Cliques are sorted tuples, in lexicographic order.
+    """
+    masks = g.neighbor_masks()
+    cliques = []
+    nodes = 0
+
+    def expand(r: int, p: int, x: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > CLIQUE_COVER_NODE_CAP:
+            return False
+        if not p | x:
+            cliques.append(tuple(v for v in range(g.n) if r >> v & 1))
+            return True
+        pivot = max(
+            (u for u in range(g.n) if (p | x) >> u & 1),
+            key=lambda u: (masks[u] & p).bit_count(),
+        )
+        for v in range(g.n):
+            bit = 1 << v
+            if p & ~masks[pivot] & bit:
+                if not expand(r | bit, p & masks[v], x & masks[v]):
+                    return False
+                p &= ~bit
+                x |= bit
+        return True
+
+    if not expand(0, (1 << g.n) - 1, 0):
+        return None
+    return tuple(sorted(cliques))
+
+
+def is_fractional_clique_cover(g: Graph, cover, j: int) -> bool:
+    """True when `cover`, a sequence of (clique, weight) pairs, is a
+    fractional clique cover of g of total weight below j + 1.
+
+    Checks in exact arithmetic, independently of how the cover was found,
+    that every part is a clique of g, that every weight is a rational
+    (int or Fraction) >= 0, that the weights of the parts through each
+    vertex sum to at least 1, and that all weights sum to less than j + 1.
+    Such a cover proves alpha(G) <= j: an independent set S meets each
+    clique K at most once, so |S| <= sum over v in S of the weights through
+    v <= sum of y_K < j + 1. For the gadget family at threshold j it proves
+    that no convex combination is a nonsingular M-matrix only together with
+    the Motzkin-Straus theorem, min over the simplex of pi'(I + C)pi =
+    1/alpha >= 1/j, so det B(pi) = 1/j - pi'(I + C)pi <= 0. A partition
+    (:func:`is_clique_cover`) needs no such theorem.
+    """
+    coverage = [Fraction(0)] * g.n
+    total = Fraction(0)
+    for part, weight in cover:
+        rational = isinstance(weight, (int, Fraction)) and not isinstance(weight, bool)
+        if not rational or weight < 0:
+            return False
+        part = list(part)
+        for a, u in enumerate(part):
+            if not 0 <= u < g.n or not all(g.has_edge(u, w) for w in part[:a]):
+                return False
+            coverage[u] += weight
+        total += weight
+    return all(c >= 1 for c in coverage) and total < j + 1
+
+
 @dataclass(frozen=True)
 class MSolveResult:
     value: float
@@ -241,8 +316,14 @@ def _ms_round(x: np.ndarray, a: np.ndarray, step: float) -> np.ndarray:
     np.divide(-slope, 2.0 * curv, out=t, where=curv > 0.0)
     t = np.minimum(np.maximum(t, 1.0), t_max)
     z = np.maximum(x + t[:, None] * d, 0.0)
-    # back onto the simplex: a long ray multiplies the rounding in sum(d)
-    z /= z.sum(1, keepdims=True)
+    # back onto the simplex: a long ray multiplies the rounding in sum(d),
+    # and a ray of pure rounding noise can end with every coordinate
+    # clipped to 0, so a row whose sum is 0 or not finite keeps y
+    total = z.sum(1, keepdims=True)
+    bad = ~(np.isfinite(total) & (total > 0.0))[:, 0]
+    if bad.any():
+        z[bad], total[bad] = y[bad], 1.0
+    z /= total
     better = _forms(z, a) < _forms(y, a)
     return np.where(better[:, None], z, y)
 

@@ -10,15 +10,18 @@ family from G when it can:
   FEASIBLE at the uniform point on the greedy independent set S when
   |S| > j (det B = 1/j - 1/|S| > 0 there), INFEASIBLE when the vertices
   partition into at most j cliques, a cover that is re-checked exactly and
-  proves det B(pi) <= 0 for every pi, and otherwise FEASIBLE at the uniform
-  point on an exact maximum independent set of more than j vertices.
-  Every other family, and a gadget family that none of these settles,
-  takes a multi-start projected ascent on the smallest leading principal
-  minor (an exact M-matrix margin that needs no eigensolves), plus a
-  coarse simplex grid for small families. All starts advance together, so
-  a round costs a fixed few batched numpy calls. The ascent answers
-  FEASIBLE with a re-certified witness and otherwise UNKNOWN, since
-  absence of a found point proves nothing for this problem.
+  proves det B(pi) <= 0 for every pi by Cauchy-Schwarz, FEASIBLE at the
+  uniform point on an exact maximum independent set of more than j
+  vertices, and otherwise (alpha <= j) INFEASIBLE when a fractional clique
+  cover of total weight below j + 1 re-checks exactly. That cover proves
+  alpha <= j, and det B(pi) <= 0 follows only by the Motzkin-Straus
+  theorem. Every other family, and a gadget family that none of these
+  settles, takes a multi-start projected ascent on the smallest leading
+  principal minor (an exact M-matrix margin that needs no eigensolves),
+  plus a coarse simplex grid for small families. All starts advance
+  together, so a round costs a fixed few batched numpy calls. The ascent
+  answers FEASIBLE with a re-certified witness and otherwise UNKNOWN,
+  since absence of a found point proves nothing for this problem.
 * :func:`search_symmetric` solves the symmetric case, which is concave:
   maximize the smallest eigenvalue over the simplex cut by the linear
   Z-sign constraints, using a cutting-plane scheme whose LP value is a
@@ -34,8 +37,9 @@ family from G when it can:
 * :func:`hurwitz_search` answers a negated gadget family by the gadget
   decision of :func:`search_general` (a Z-matrix is positive stable iff
   it is a nonsingular M-matrix), so it may answer INFEASIBLE with a
-  clique cover. Other families descend on the spectral abscissa, and
-  their Hurwitz witnesses are certified by re-computing eigenvalues.
+  clique cover or a fractional one. Other families descend on the spectral
+  abscissa, and their Hurwitz witnesses are certified by re-computing
+  eigenvalues.
 
 All searches are deterministic for a fixed seed. The general search and
 the spectral descents move their starts in lockstep rounds that share one
@@ -50,8 +54,10 @@ gadget decision of the general and Hurwitz searches. :func:`_certified` is
 the one witness rule of both M-matrix searches and of the Hurwitz gadget
 answer: a point is a FEASIBLE witness only when :func:`mmatrix.certify`
 finds its combination a Z-matrix with consensus YES.
-Every outcome but the clique-cover INFEASIBLE one is built by
+Every outcome but the two cover INFEASIBLE ones is built by
 :meth:`_Tracker.outcome` from the tracker that counted the evaluations.
+Both LPs, the symmetric cutting planes and the fractional clique cover,
+call the module name ``linprog``.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -73,7 +80,9 @@ from .oracle import (
     _greedy_independent_set,
     clique_cover,
     is_clique_cover,
+    is_fractional_clique_cover,
     max_independent_set,
+    maximal_cliques,
 )
 from .reduction import (
     convex_combination,
@@ -97,6 +106,8 @@ SPECTRAL_FD_STEP = 1e-7
 EIG_GAP = 1e-8
 # the four line-search steps of one round, as fractions of a start's step
 LINE_SEARCH_SCALES = 0.25 ** np.arange(4)
+# the largest denominator of a rationalised fractional-cover weight
+COVER_DENOM = 1000
 
 
 class SearchStatus(enum.Enum):
@@ -117,10 +128,14 @@ class SearchOutcome:
     # an INFEASIBLE gadget family's partition of the vertices (0-based) into
     # at most j cliques
     clique_cover: tuple | None = None
+    # or its (clique, Fraction weight) pairs of total weight below j + 1, a
+    # proof that rests on the Motzkin-Straus theorem
+    fractional_clique_cover: tuple | None = None
 
     def to_json_dict(self) -> dict:
-        """The JSON fields; ``clique_cover`` (1-based vertices, as in graph
-        files) appears only when the outcome carries one."""
+        """The JSON fields; ``clique_cover`` and ``fractional_clique_cover``
+        (1-based vertices, as in graph files, and "p/q" weights) appear only
+        when the outcome carries one."""
         cert = None if self.certificate is None else self.certificate.to_json_list()
         margins = None
         if self.margins is not None:
@@ -133,6 +148,12 @@ class SearchOutcome:
         }
         if self.clique_cover is not None:
             out["clique_cover"] = [[v + 1 for v in part] for part in self.clique_cover]
+        if self.fractional_clique_cover is not None:
+            out["fractional_clique_cover"] = {
+                "cliques": [[v + 1 for v in c] for c, _ in self.fractional_clique_cover],
+                "weights": [str(w) for _, w in self.fractional_clique_cover],
+                "rests_on": "Motzkin-Straus theorem",
+            }
         return out
 
 
@@ -162,8 +183,8 @@ def _grid_passes(k: int) -> list[np.ndarray]:
 
 class _Tracker:
     """One search's evaluation counter, monotone best-so-far trace and the
-    point of the best merit; every outcome of a search but the clique-cover
-    INFEASIBLE one is built by :meth:`outcome`."""
+    point of the best merit; every outcome of a search but the two cover
+    INFEASIBLE ones is built by :meth:`outcome`."""
 
     __slots__ = ("spent", "best", "best_point", "trace", "budget")
 
@@ -247,6 +268,44 @@ def _exact_independent_set(g):
         return None
 
 
+def _fractional_cover(g) -> tuple | None:
+    """A least-weight fractional clique cover of g as exact (clique, weight)
+    pairs of positive weight, or None when :func:`oracle.maximal_cliques`
+    hits its cap or the LP fails.
+
+    The LP minimises the sum of y_K over the maximal cliques K subject to
+    sum over K containing v of y_K >= 1 for every vertex v, and y >= 0.
+    Each weight is rationalised to the nearest fraction with denominator at
+    most COVER_DENOM; then, vertex by vertex, a vertex still covered less
+    than 1 in exact arithmetic has its shortfall added to the first clique
+    through it, so every vertex ends covered. Whether the total is below
+    j + 1 is left to :func:`oracle.is_fractional_clique_cover`.
+    """
+    cliques = maximal_cliques(g)
+    if cliques is None:
+        return None
+    members = np.zeros((g.n, len(cliques)))
+    for c, clique in enumerate(cliques):
+        members[list(clique), c] = 1.0
+    res = linprog(
+        np.ones(len(cliques)),
+        A_ub=-members,
+        b_ub=-np.ones(g.n),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    weights = [Fraction(max(float(y), 0.0)).limit_denominator(COVER_DENOM)
+               for y in res.x]
+    for v in range(g.n):
+        through = [c for c, clique in enumerate(cliques) if v in clique]
+        short = 1 - sum(weights[c] for c in through)
+        if short > 0:
+            weights[through[0]] += short
+    return tuple((c, w) for c, w in zip(cliques, weights) if w)
+
+
 def _gadget_answer(gadgets: Sequence[Matrix]) -> SearchOutcome | None:
     """The answer from G when `gadgets` is exactly the gadget family of some
     (G, j), else None.
@@ -257,7 +316,12 @@ def _gadget_answer(gadgets: Sequence[Matrix]) -> SearchOutcome | None:
     no partition is found, FEASIBLE at the uniform point on a maximum
     independent set of more than j vertices. A FEASIBLE point must pass
     :func:`_certified`. The cover is tried before the exact set, so a
-    covered family pays nothing for it.
+    covered family pays nothing for it. When the maximum independent set
+    has at most j vertices, INFEASIBLE with a fractional clique cover of
+    total weight below j + 1 that :func:`oracle.is_fractional_clique_cover`
+    re-checks. The partition proves det B(pi) <= 0 by Cauchy-Schwarz alone;
+    the fractional cover proves alpha <= j, and det B(pi) <= 0 follows
+    from that only by the Motzkin-Straus theorem.
     """
     found = instance_graph(gadgets)
     if found is None:
@@ -271,8 +335,15 @@ def _gadget_answer(gadgets: Sequence[Matrix]) -> SearchOutcome | None:
                 SearchStatus.INFEASIBLE, None, (), 0, clique_cover=cover
             )
         independent = _exact_independent_set(g)
-        if independent is None or len(independent) <= j:
+        if independent is None:
             return None
+        if len(independent) <= j:
+            cover = _fractional_cover(g)
+            if cover is None or not is_fractional_clique_cover(g, cover, j):
+                return None
+            return SearchOutcome(
+                SearchStatus.INFEASIBLE, None, (), 0, fractional_clique_cover=cover
+            )
     point = witness_from_independent_set(g, independent)
     report = _certified(gadgets, point)
     if report is None:
@@ -297,10 +368,17 @@ def search_general(
     with the partition in ``clique_cover``. Otherwise, when the exact
     :func:`oracle.max_independent_set` has more than j vertices, the answer
     is FEASIBLE at the uniform exact point on it, once :func:`_certified`
-    accepts it. Every other family, and a gadget family that none of these
-    settles (alpha <= j without such a partition, n > 30, a search that
-    hits its node cap, or a point that :func:`_certified` rejects), takes
-    the search below, which answers FEASIBLE or UNKNOWN, never INFEASIBLE.
+    accepts it. Otherwise alpha <= j, and when an LP over the maximal
+    cliques of G, rationalised and repaired in exact arithmetic, gives a
+    fractional clique cover of total weight below j + 1 that
+    :func:`oracle.is_fractional_clique_cover` re-checks, the answer is
+    INFEASIBLE, with the (clique, weight) pairs in
+    ``fractional_clique_cover``. This proof rests on the Motzkin-Straus
+    theorem; the partition's does not. Every other family, and a gadget
+    family that none of these settles (alpha <= j whose least fractional
+    clique cover weighs j + 1 or more, such as Petersen at j = 4, n > 30,
+    a search that hits its node cap, or a point that :func:`_certified`
+    rejects), takes the search below, which answers FEASIBLE or UNKNOWN.
 
     Merit is the smallest leading principal minor of the combination. The
     vertices, then (for k <= 4) the 1/8 grid, are each evaluated as one
@@ -732,8 +810,11 @@ def hurwitz_search(
     ``spectral_abscissa`` margin is minus the POS_STABLE margin;
     INFEASIBLE comes with a partition of the vertices into at most j
     cliques in ``clique_cover``, re-checked by :func:`oracle.is_clique_cover`,
-    which proves that no B(pi) is a nonsingular M-matrix, so that no
-    combination -B(pi) is Hurwitz.
+    or with a fractional clique cover of total weight below j + 1 in
+    ``fractional_clique_cover``, re-checked by
+    :func:`oracle.is_fractional_clique_cover`, a proof that rests on the
+    Motzkin-Straus theorem. Either proves that no B(pi) is a nonsingular
+    M-matrix, so that no combination -B(pi) is Hurwitz.
 
     Every other family, and a gadget family the decision does not settle,
     takes a descent on the spectral abscissa that stops after the first

@@ -131,5 +131,11 @@ def complete(n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def complement(g: Graph) -> Graph:
+    return Graph.from_edges(
+        g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+              if not g.has_edge(u, v)])
+
+
 def empty(n: int) -> Graph:
     return Graph.from_edges(n, [])

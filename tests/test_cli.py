@@ -15,8 +15,10 @@ from mpoly import (
     SearchStatus,
     build_instance,
     is_clique_cover,
+    max_independent_set,
     nonneg_parts,
     parse_graph,
+    write_graph,
 )
 from mpoly.cli import run_pipeline
 from mpoly.linalg import matrices_to_json
@@ -183,6 +185,27 @@ class TestOracleCommands:
         assert abs(payload["value"] - 0.5) < 1e-6
         assert payload["alpha_lower_bound"] == 2
 
+    def test_ms_solve_reports_a_checkable_independent_set(self, workspace, tmp_path):
+        for g in (parse_graph(C5_TEXT), corpus.petersen(), corpus.gnp(9, 0.35, 4)):
+            path = tmp_path / "g.col"
+            path.write_text(write_graph(g))
+            res = mpoly_cmd("ms-solve", str(path), "--json")
+            assert res.returncode == 0
+            found = [v - 1 for v in json.loads(res.stdout)["independent_set"]]
+            assert found == sorted(found) and all(0 <= v < g.n for v in found)
+            assert not any(g.has_edge(u, v) for u in found for v in found)
+            assert 1 <= len(found) <= max_independent_set(g).alpha
+        human = mpoly_cmd("ms-solve", str(workspace / "c5.col"))
+        assert "independent_set=[" in human.stdout
+
+    def test_ms_solve_writes_nothing_to_stderr(self, tmp_path):
+        # a ray of rounding noise on this graph used to divide 0 by 0
+        path = tmp_path / "g.col"
+        path.write_text(write_graph(corpus.gnp(6, 0.5, 10378)))
+        res = mpoly_cmd("ms-solve", str(path), "--restarts", "13", "--seed", "12")
+        assert res.returncode == 0
+        assert res.stderr == ""
+
     def test_ms_solve_single_round(self, workspace):
         args = ("ms-solve", str(workspace / "c5.col"), "--json", "--iters", "1")
         first = mpoly_cmd(*args)
@@ -326,11 +349,19 @@ class TestPipelineCommand:
         assert payload["alpha"] == 2
 
     def test_c5_j2_agree_infeasible(self, workspace):
+        # alpha = j = 2 with no partition into 2 cliques: the five edges at
+        # weight 1/2 are a fractional clique cover of total 5/2 < 3
         res = mpoly_cmd("pipeline", str(workspace / "c5.col"), "2", "--json")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert payload["verdict"] == "AGREE"
-        assert payload["search"]["status"] == "UNKNOWN"
+        assert payload["search"]["status"] == "INFEASIBLE"
+        assert payload["search"]["budget_spent"] == 0
+        assert payload["search"]["fractional_clique_cover"] == {
+            "cliques": [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]],
+            "weights": ["1/2"] * 5,
+            "rests_on": "Motzkin-Straus theorem",
+        }
 
     def test_k3_j1_agree(self, workspace):
         res = mpoly_cmd("pipeline", str(workspace / "k3.col"), "1", "--json")

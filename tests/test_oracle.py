@@ -1,7 +1,9 @@
 """Brute-force independent sets and the simplex quadratic-form minimizer."""
 
 import math
-from itertools import product
+import warnings
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,13 +19,14 @@ from mpoly import (
     clique_cover,
     extract_independent_set,
     is_clique_cover,
+    is_fractional_clique_cover,
     max_independent_set,
     motzkin_straus_min,
     quadratic_form,
     witness_from_independent_set,
 )
 import mpoly.oracle
-from mpoly.oracle import MSolveResult, _forms, _ms_round
+from mpoly.oracle import MSolveResult, _forms, _ms_round, maximal_cliques
 from mpoly.simplex import sample_simplex_rows
 
 import corpus
@@ -143,6 +146,72 @@ class TestCliqueCover:
         assert not is_clique_cover(corpus.cycle(5), parts, j)
 
 
+def brute_force_maximal_cliques(g: Graph) -> tuple:
+    cliques = []
+    for size in range(1, g.n + 1):
+        for vs in combinations(range(g.n), size):
+            if is_independent(corpus.complement(g), vs) and not any(
+                    all(g.has_edge(u, v) for v in vs)
+                    for u in range(g.n) if u not in vs):
+                cliques.append(vs)
+    return tuple(sorted(cliques))
+
+
+class TestMaximalCliques:
+    def test_known_graphs(self):
+        assert maximal_cliques(corpus.cycle(5)) == (
+            (0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+        assert maximal_cliques(corpus.complete(4)) == ((0, 1, 2, 3),)
+        assert maximal_cliques(corpus.empty(3)) == ((0,), (1,), (2,))
+        assert len(maximal_cliques(corpus.petersen())) == 15
+
+    def test_matches_brute_force(self):
+        for g in corpus.small_graphs(5) + corpus.gnp_samples((6, 7, 8), 30):
+            assert maximal_cliques(g) == brute_force_maximal_cliques(g), g
+
+    def test_node_cap_gives_none(self, monkeypatch):
+        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 3)
+        assert maximal_cliques(corpus.cycle(5)) is None
+
+
+HALF = Fraction(1, 2)
+
+
+class TestFractionalCliqueCover:
+    # every edge of C5 = 0-1-2-3-4-0 at weight 1/2: total 5/2, so alpha <= 2
+    C5_COVER = (((0, 1), HALF), ((1, 2), HALF), ((2, 3), HALF), ((3, 4), HALF),
+                ((4, 0), HALF))
+
+    def test_checker_accepts_a_valid_cover(self):
+        c5 = corpus.cycle(5)
+        assert is_fractional_clique_cover(c5, self.C5_COVER, 2)
+        assert is_fractional_clique_cover(c5, [[list(c), w] for c, w in self.C5_COVER], 2)
+        # integer weights, a zero weight and an overcovered vertex are fine
+        triangle = [((0, 1, 2), 1), ((0, 1), 0), ((2,), Fraction(1, 3))]
+        assert is_fractional_clique_cover(corpus.complete(3), triangle, 1)
+
+    # each mutation breaks one clause of the checker and keeps the others
+    @pytest.mark.parametrize("cover, j", [
+        (C5_COVER + (((0, 2), HALF),), 3),  # 0 and 2 are not adjacent
+        (C5_COVER[:4], 2),  # vertices 0 and 4 covered by 1/2 only
+        (C5_COVER + (((0, 1), -HALF), ((0, 1), HALF)), 2),  # a negative weight
+        (C5_COVER + (((0, 1), HALF),), 2),  # total 3 = j + 1
+        (C5_COVER[:4] + (((4, 0), 0.5),), 2),  # a float weight
+        (C5_COVER + (((4, 5), HALF),), 3),  # vertex 5 is not in the graph
+        (C5_COVER + (((1, 1), HALF),), 3),  # a vertex twice in one part
+    ])
+    def test_checker_rejects_mutations(self, cover, j):
+        assert not is_fractional_clique_cover(corpus.cycle(5), cover, j)
+
+    def test_petersen_needs_weight_five(self):
+        # Petersen is triangle-free on 10 vertices, so every fractional clique
+        # cover weighs at least 5 = alpha + 1
+        g = corpus.petersen()
+        cover = [(edge, Fraction(1, 3)) for edge in sorted(g.edges)]
+        assert is_fractional_clique_cover(g, cover, 5)
+        assert not is_fractional_clique_cover(g, cover, 4)
+
+
 class TestMotzkinStrausMin:
     def test_triangle_form_is_constant_one(self):
         res = motzkin_straus_min(corpus.complete(3), restarts=5, seed=0)
@@ -216,6 +285,22 @@ class TestMotzkinStrausMin:
                 assert np.all(x >= 0.0)
                 assert np.abs(x.sum(1) - 1.0).max() <= 1e-12
                 before = after
+
+    @pytest.mark.parametrize("n, p, graph_seed, restarts, seed", [
+        (6, 0.5, 10378, 13, 12),
+        (14, 0.5, 16276, 29, 202),
+    ])
+    def test_ray_clipped_to_zero_keeps_the_plain_step(self, n, p, graph_seed,
+                                                      restarts, seed):
+        # on these graphs a ray of pure rounding noise ends with every
+        # coordinate clipped to 0; that row keeps its plain step, silently
+        g = corpus.gnp(n, p, graph_seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = motzkin_straus_min(g, restarts=restarts, seed=seed)
+        alpha = corpus.exhaustive_alpha(g)
+        assert 1.0 / alpha - 1e-9 <= res.value <= 1.0 / alpha + 1e-6
+        assert abs(res.value - quadratic_form(g, res.minimizer)) <= 1e-12
 
     def test_single_round_and_single_restart(self):
         g = corpus.cycle(7)

@@ -26,6 +26,7 @@ from mpoly import (
     eigenvalues,
     hurwitz_search,
     is_clique_cover,
+    is_fractional_clique_cover,
     max_independent_set,
     minimize_spectral_radius,
     nonneg_parts,
@@ -146,17 +147,22 @@ class TestSearchGeneral:
         assert spectral_radius(m_pi) < 1.0
         assert max(z.real for z in eigenvalues(-combo.to_float())) < 0
 
+    # the next three take the float copy of an alpha = j family, whose exact
+    # family is answered INFEASIBLE from its fractional clique cover
+
     def test_monotone_trace_and_budget(self):
         inst = build_instance(corpus.cycle(5), 2)
-        out = search_general(inst.gadgets, budget=3000, seed=0)
+        out = search_general([m.to_float() for m in inst.gadgets], budget=3000, seed=0)
+        assert out.objective_trace
         merits = [m for _, m in out.objective_trace]
         assert merits == sorted(merits)
         assert out.budget_spent <= 3000
 
     def test_deterministic_given_seed(self):
-        inst = build_instance(corpus.cycle(7), 3)
-        a = search_general(inst.gadgets, budget=4000, seed=11)
-        b = search_general(inst.gadgets, budget=4000, seed=11)
+        floats = [m.to_float() for m in build_instance(corpus.cycle(7), 3).gadgets]
+        a = search_general(floats, budget=4000, seed=11)
+        b = search_general(floats, budget=4000, seed=11)
+        assert a.budget_spent > 0
         assert a.status == b.status
         assert a.budget_spent == b.budget_spent
         assert a.objective_trace == b.objective_trace
@@ -164,9 +170,9 @@ class TestSearchGeneral:
     def test_budget_never_overspent(self):
         # k = 5: a vertex pass of 5 points, 24 start points, then rounds of
         # 24 * (k + 4) evaluations; alpha = 2 <= j, so the search never stops early
-        inst = build_instance(corpus.cycle(5), 2)
+        floats = [m.to_float() for m in build_instance(corpus.cycle(5), 2).gadgets]
         for budget in range(1, 5 + 24 + 3 * 24 * 9 + 1):
-            out = search_general(inst.gadgets, budget=budget, seed=0)
+            out = search_general(floats, budget=budget, seed=0)
             assert out.status is SearchStatus.UNKNOWN
             assert out.budget_spent <= budget
 
@@ -268,10 +274,12 @@ class TestGadgetCover:
 
     def test_json_has_no_cover_key_without_a_cover(self):
         feasible = search_general(build_instance(corpus.cycle(5), 1).gadgets, seed=0)
-        unknown = search_general(build_instance(corpus.cycle(5), 2).gadgets,
+        unknown = search_general(build_instance(corpus.petersen(), 4).gadgets,
                                  budget=500, seed=0)
+        assert unknown.status is SearchStatus.UNKNOWN
         for out in (feasible, unknown):
             assert out.clique_cover is None
+            assert out.fractional_clique_cover is None
             assert set(out.to_json_dict()) == {
                 "status", "certificate", "margins", "budget_spent"}
 
@@ -306,11 +314,14 @@ class TestGadgetCover:
         assert out == ascent_only(K3_J2, monkeypatch, budget=3000, seed=0)
 
     def test_cover_that_fails_the_check_is_not_reported(self, monkeypatch):
-        # the re-check, not the cover search, decides INFEASIBLE
+        # the re-check, not the cover search, decides INFEASIBLE: the bad
+        # partition is dropped, and the answer comes from the fractional
+        # cover, the triangle at weight 1
         monkeypatch.setattr(mpoly.search, "clique_cover", lambda g, j: ((0, 1),))
         out = search_general(K3_J2, budget=3000, seed=0)
-        assert out.status is SearchStatus.UNKNOWN
+        assert out.status is SearchStatus.INFEASIBLE
         assert out.clique_cover is None
+        assert out.fractional_clique_cover == (((0, 1, 2), 1),)
 
     def test_exhaustive_agreement_with_the_oracle(self):
         uncovered = []
@@ -320,15 +331,148 @@ class TestGadgetCover:
                 out = search_general(build_instance(g, j).gadgets, budget=2000, seed=0)
                 if out.status is SearchStatus.INFEASIBLE:
                     assert alpha <= j, (g, j)
-                    assert is_clique_cover(g, out.clique_cover, j), (g, j)
                     assert out.budget_spent == 0
+                    if out.clique_cover is None:
+                        uncovered.append((g.n, len(g.edges), j))
+                        assert is_fractional_clique_cover(
+                            g, out.fractional_clique_cover, j), (g, j)
+                    else:
+                        assert is_clique_cover(g, out.clique_cover, j), (g, j)
+                        assert out.fractional_clique_cover is None
                 else:
                     assert out.clique_cover is None
-                    if alpha <= j:
-                        uncovered.append((g.n, len(g.edges), j))
+                    assert out.fractional_clique_cover is None
+                    assert alpha > j, (g, j)
         # every graph on at most 5 vertices but C5 is perfect, so it has a
-        # partition into alpha cliques; C5 needs 3 cliques and has alpha 2
+        # partition into alpha cliques; C5 needs 3 cliques and has alpha 2,
+        # and its five edges at weight 1/2 cover it fractionally
         assert uncovered == [(5, 5, 2)]
+
+
+def alpha_equals_j_without_a_partition():
+    """(g, j) with alpha(g) = j and no partition into j cliques: odd holes
+    C5, C7 and C9 and the odd antihole, the complement of C7."""
+    graphs = [corpus.cycle(5), corpus.cycle(7), corpus.complement(corpus.cycle(7)),
+              corpus.cycle(9)]
+    return [(g, max_independent_set(g).alpha) for g in graphs]
+
+
+def count_linprog(monkeypatch) -> list:
+    """The calls of search.linprog from here on, one entry each."""
+    calls = []
+    real = mpoly.search.linprog
+    monkeypatch.setattr(mpoly.search, "linprog",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+class TestFractionalCover:
+    """An exact gadget family with alpha = j and no partition into j cliques
+    is INFEASIBLE from a re-checked fractional clique cover of total weight
+    below j + 1, with no evaluation spent."""
+
+    def test_alpha_equals_j_families_are_infeasible(self, monkeypatch):
+        lp_calls = count_linprog(monkeypatch)
+        for g, j in alpha_equals_j_without_a_partition():
+            assert mpoly.clique_cover(g, j) is None
+            lp_calls.clear()
+            out = search_general(build_instance(g, j).gadgets, seed=0)
+            assert out.status is SearchStatus.INFEASIBLE, (g, j)
+            assert out.budget_spent == 0 and out.objective_trace == ()
+            assert out.certificate is None and out.clique_cover is None
+            assert is_fractional_clique_cover(g, out.fractional_clique_cover, j)
+            assert len(lp_calls) == 1
+            payload = out.to_json_dict()["fractional_clique_cover"]
+            assert payload["rests_on"] == "Motzkin-Straus theorem"
+            assert payload["cliques"] == [
+                [v + 1 for v in c] for c, _ in out.fractional_clique_cover]
+            assert [Fraction(w) for w in payload["weights"]] == [
+                w for _, w in out.fractional_clique_cover]
+
+    def test_covered_and_feasible_calls_solve_no_lp(self, monkeypatch):
+        lp_calls = count_linprog(monkeypatch)
+        for g in corpus.small_graphs(4) + [corpus.cycle(5)]:
+            for j in range(1, g.n + 1):
+                if (g.n, j) != (5, 2):
+                    search_general(build_instance(g, j).gadgets, seed=0)
+        assert lp_calls == []
+
+    def test_petersen_at_four_stays_unknown(self):
+        # triangle-free on 10 vertices: every fractional clique cover weighs
+        # at least 5 = j + 1, so the gadget decision is left to the ascent
+        g = corpus.petersen()
+        assert max_independent_set(g).alpha == 4
+        out = search_general(build_instance(g, 4).gadgets, budget=500, seed=0)
+        assert out.status is SearchStatus.UNKNOWN
+        assert out.budget_spent > 0
+        assert out.fractional_clique_cover is None
+        assert set(out.to_json_dict()) == {
+            "status", "certificate", "margins", "budget_spent"}
+
+    def test_no_infeasible_without_the_checker(self, monkeypatch):
+        monkeypatch.setattr(mpoly.search, "is_fractional_clique_cover",
+                            lambda g, cover, j: False)
+        for g, j in alpha_equals_j_without_a_partition():
+            gadgets = build_instance(g, j).gadgets
+            out = search_general(gadgets, budget=300, seed=0)
+            assert out.status is SearchStatus.UNKNOWN, (g, j)
+            assert out == ascent_only(gadgets, monkeypatch, budget=300, seed=0)
+            negated = hurwitz_search([-m for m in gadgets], budget=300, seed=0)
+            assert negated.status is SearchStatus.UNKNOWN, (g, j)
+
+    def test_capped_cliques_take_the_ascent(self, monkeypatch):
+        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 2)
+        gadgets = build_instance(corpus.cycle(5), 2).gadgets
+        out = search_general(gadgets, budget=300, seed=0)
+        assert out.status is SearchStatus.UNKNOWN
+        assert out == ascent_only(gadgets, monkeypatch, budget=300, seed=0)
+
+    def test_rounded_lp_weights_are_raised_until_every_vertex_is_covered(
+            self, monkeypatch):
+        # an LP answer just short of 1/2 on every edge of C5 rounds to 49/100;
+        # each short vertex then tops up the first edge through it
+        real = mpoly.search.linprog
+
+        def short(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = np.full_like(res.x, 0.49)
+            return res
+
+        monkeypatch.setattr(mpoly.search, "linprog", short)
+        g = corpus.cycle(5)
+        out = search_general(build_instance(g, 2).gadgets, seed=0)
+        assert out.status is SearchStatus.INFEASIBLE
+        cover = out.fractional_clique_cover
+        assert is_fractional_clique_cover(g, cover, 2)
+        assert sum(w for _, w in cover) == Fraction(253, 100)
+
+    def test_negated_family_is_infeasible(self):
+        g = corpus.cycle(5)
+        gadgets = build_instance(g, 2).gadgets
+        out = hurwitz_search([-m for m in gadgets], budget=300, seed=0)
+        assert out.status is SearchStatus.INFEASIBLE
+        assert out.budget_spent == 0
+        assert out == search_general(gadgets, seed=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 9), p=st.sampled_from(corpus.GNP_P_CYCLE),
+           graph_seed=st.integers(0, 2**32 - 1), perm_seed=st.integers(0, 2**32 - 1))
+    def test_gnp_property(self, n, p, graph_seed, perm_seed):
+        g = corpus.gnp(n, p, graph_seed)
+        perm = [int(v) for v in np.random.default_rng(perm_seed).permutation(n)]
+        h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+        alpha = max_independent_set(g).alpha
+        for j in range(1, n + 1):
+            out = search_general(build_instance(g, j).gadgets, budget=300, seed=0)
+            relabelled = search_general(build_instance(h, j).gadgets, budget=300, seed=0)
+            assert relabelled.status is out.status, (g, j, perm)
+            if out.status is SearchStatus.INFEASIBLE:
+                assert alpha <= j
+            for res, graph in ((out, g), (relabelled, h)):
+                if res.fractional_clique_cover is not None:
+                    assert res.status is SearchStatus.INFEASIBLE
+                    assert is_fractional_clique_cover(
+                        graph, res.fractional_clique_cover, j)
 
 
 def greedy_feasible_cases():
@@ -647,14 +791,21 @@ class TestHurwitzSearch:
                         pytest.approx(abscissa, rel=1e-9)
                 elif out.status is SearchStatus.INFEASIBLE:
                     assert alpha <= j and out.budget_spent == 0, (g, j)
-                    assert is_clique_cover(g, out.clique_cover, j)
+                    if out.clique_cover is None:
+                        assert is_fractional_clique_cover(
+                            g, out.fractional_clique_cover, j), (g, j)
+                    else:
+                        assert is_clique_cover(g, out.clique_cover, j), (g, j)
                 else:
                     unknown.append((g.n, len(g.edges), j))
-        # C5 at j = 2 has alpha = j and no partition into 2 cliques
-        assert unknown == [(5, 5, 2)]
+        # C5 at j = 2, with alpha = j and no partition into 2 cliques, is
+        # answered from its fractional clique cover
+        assert unknown == []
 
     def test_no_infeasible_without_the_cover_check(self, monkeypatch):
         monkeypatch.setattr(mpoly.search, "is_clique_cover", lambda g, parts, j: False)
+        monkeypatch.setattr(mpoly.search, "is_fractional_clique_cover",
+                            lambda g, cover, j: False)
         for g, j, out in hurwitz_over(corpus.small_graphs(4)):
             assert out.status is not SearchStatus.INFEASIBLE, (g, j)
 
