@@ -414,12 +414,8 @@ def build_parser() -> _Parser:
     p = subs.add_parser(
         "search",
         help="search for an M-matrix combination; an exact gadget family is "
-        "FEASIBLE at once when its greedy independent set has more than j "
-        "vertices, INFEASIBLE when a partition into at most j cliques "
-        "re-checks, FEASIBLE when its maximum independent set has more than "
-        "j vertices, and otherwise INFEASIBLE when a fractional clique cover "
-        "of total weight below j + 1 re-checks (a proof that rests on the "
-        "Motzkin-Straus theorem)",
+        "answered from its graph by the gadget decision that "
+        "mpoly.search.search_general documents",
     )
     p.add_argument("matrices")
     p.add_argument("--symmetric", action="store_true", help="certified convex path")
@@ -446,8 +442,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser(
         "hurwitz-search",
         help="search for a Hurwitz combination; an exact negated gadget family "
-        "is answered like search, so it may exit 1 with a clique_cover or a "
-        "fractional_clique_cover",
+        "gets the gadget decision of search",
     )
     p.add_argument("matrices")
     _add_common(p, budget=True, seed=True, backing=True)
@@ -456,8 +451,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser(
         "pipeline",
         help="reduce, search, and compare to the oracle; the search answers "
-        "as search does, so every alpha <= j call whose graph has a partition "
-        "into j cliques or a fractional clique cover below j + 1 is INFEASIBLE",
+        "as search does, and UNKNOWN at alpha <= j agrees",
     )
     p.add_argument("graph")
     p.add_argument("j", type=_positive_int)

@@ -16,7 +16,6 @@ restart index.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,16 +53,8 @@ def _greedy_seed(masks: list[int], n: int) -> int:
     return chosen
 
 
-@functools.lru_cache(maxsize=1)
 def _greedy_independent_set(g: Graph) -> tuple[int, ...]:
-    """The vertices of ``_greedy_seed`` on g, ascending.
-
-    :func:`clique_cover` and the gadget path of
-    :func:`search.search_general`, which asks for this set first and then
-    for a cover of the same graph, share the one computation through this
-    one-entry cache: the result depends on g alone, so the cache holds no
-    state that a caller can observe.
-    """
+    """The vertices of ``_greedy_seed`` on g, ascending."""
     seed = _greedy_seed(g.neighbor_masks(), g.n)
     return tuple(v for v in range(g.n) if seed >> v & 1)
 
@@ -123,9 +114,16 @@ def clique_cover(g: Graph, j: int) -> tuple[tuple[int, ...], ...] | None:
     ordered by their smallest vertex. Check a result with
     :func:`is_clique_cover`.
     """
+    return _clique_partition(g, j, _greedy_independent_set(g))
+
+
+def _clique_partition(
+    g: Graph, j: int, seeds: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...] | None:
+    """:func:`clique_cover` with its seeds, the independent set ``seeds``
+    of g, given; None at once when ``seeds`` has more than j vertices."""
     n = g.n
     masks = g.neighbor_masks()
-    seeds = _greedy_independent_set(g)
     if len(seeds) > j:
         return None
     seed = sum(1 << v for v in seeds)

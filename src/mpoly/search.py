@@ -6,22 +6,15 @@ problems that the gadget reduction makes NP-hard. On an exact gadget family
 of some (G, j) all three come down to alpha(G) > j, and each answers such a
 family from G when it can:
 
-* :func:`search_general` answers a gadget family by one gadget decision:
-  FEASIBLE at the uniform point on the greedy independent set S when
-  |S| > j (det B = 1/j - 1/|S| > 0 there), INFEASIBLE when the vertices
-  partition into at most j cliques, a cover that is re-checked exactly and
-  proves det B(pi) <= 0 for every pi by Cauchy-Schwarz, FEASIBLE at the
-  uniform point on an exact maximum independent set of more than j
-  vertices, and otherwise (alpha <= j) INFEASIBLE when a fractional clique
-  cover of total weight below j + 1 re-checks exactly. That cover proves
-  alpha <= j, and det B(pi) <= 0 follows only by the Motzkin-Straus
-  theorem. Every other family, and a gadget family that none of these
-  settles, takes a multi-start projected ascent on the smallest leading
-  principal minor (an exact M-matrix margin that needs no eigensolves),
-  plus a coarse simplex grid for small families. All starts advance
-  together, so a round costs a fixed few batched numpy calls. The ascent
-  answers FEASIBLE with a re-certified witness and otherwise UNKNOWN,
-  since absence of a found point proves nothing for this problem.
+* :func:`search_general` answers a gadget family by one gadget decision,
+  whose ladder its docstring sets out; every other family, and a gadget
+  family that the decision leaves to it, takes a multi-start projected
+  ascent on the smallest leading principal minor (an exact M-matrix
+  margin that needs no eigensolves), plus a coarse simplex grid for small
+  families. All starts advance together, so a round costs a fixed few
+  batched numpy calls. The ascent answers FEASIBLE with a re-certified
+  witness and otherwise UNKNOWN, since absence of a found point proves
+  nothing for this problem.
 * :func:`search_symmetric` solves the symmetric case, which is concave:
   maximize the smallest eigenvalue over the simplex cut by the linear
   Z-sign constraints, using a cutting-plane scheme whose LP value is a
@@ -36,8 +29,7 @@ family from G when it can:
   eig plus one shifted solve per round).
 * :func:`hurwitz_search` answers a negated gadget family by the gadget
   decision of :func:`search_general` (a Z-matrix is positive stable iff
-  it is a nonsingular M-matrix), so it may answer INFEASIBLE with a
-  clique cover or a fractional one. Other families descend on the spectral
+  it is a nonsingular M-matrix). Other families descend on the spectral
   abscissa, and their Hurwitz witnesses are certified by re-computing
   eigenvalues.
 
@@ -54,8 +46,8 @@ gadget decision of the general and Hurwitz searches. :func:`_certified` is
 the one witness rule of both M-matrix searches and of the Hurwitz gadget
 answer: a point is a FEASIBLE witness only when :func:`mmatrix.certify`
 finds its combination a Z-matrix with consensus YES.
-Every outcome but the two cover INFEASIBLE ones is built by
-:meth:`_Tracker.outcome` from the tracker that counted the evaluations.
+Every outcome is built by :meth:`_Tracker.outcome` from the tracker that
+counted the evaluations.
 Both LPs, the symmetric cutting planes and the fractional clique cover,
 call the module name ``linprog``.
 """
@@ -77,8 +69,8 @@ from .errors import BudgetExceeded, DimensionMismatch, DomainError, NotSymmetric
 from .linalg import Matrix, Z_SLACK, _encode_scalar, leading_minors_batch
 from .mmatrix import CONSENSUS_YES, certify
 from .oracle import (
+    _clique_partition,
     _greedy_independent_set,
-    clique_cover,
     is_clique_cover,
     is_fractional_clique_cover,
     max_independent_set,
@@ -118,11 +110,10 @@ class SearchStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Search result with the best-so-far merit trace and evaluation count."""
+    """Search result with its evaluation count."""
 
     status: SearchStatus
     certificate: SimplexPoint | None
-    objective_trace: tuple
     budget_spent: int
     margins: dict | None = None
     # an INFEASIBLE gadget family's partition of the vertices (0-based) into
@@ -182,17 +173,15 @@ def _grid_passes(k: int) -> list[np.ndarray]:
 
 
 class _Tracker:
-    """One search's evaluation counter, monotone best-so-far trace and the
-    point of the best merit; every outcome of a search but the two cover
-    INFEASIBLE ones is built by :meth:`outcome`."""
+    """One search's evaluation counter and the point of its best merit;
+    every outcome of a search is built by :meth:`outcome`."""
 
-    __slots__ = ("spent", "best", "best_point", "trace", "budget")
+    __slots__ = ("spent", "best", "best_point", "budget")
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int = 0):
         self.spent = 0
         self.best = -math.inf
         self.best_point = None
-        self.trace: list[tuple[int, float]] = []
         self.budget = budget
 
     def record(self, count: int, merit: float, point=None) -> None:
@@ -202,14 +191,16 @@ class _Tracker:
         if merit > self.best:
             self.best = merit
             self.best_point = point
-            self.trace.append((self.spent, float(merit)))
 
     def left(self) -> int:
         return max(self.budget - self.spent, 0)
 
-    def outcome(self, status, certificate=None, margins=None) -> SearchOutcome:
-        trace = tuple(self.trace)
-        return SearchOutcome(status, certificate, trace, self.spent, margins)
+    def outcome(
+        self, status, certificate=None, margins=None, **cover
+    ) -> SearchOutcome:
+        """The outcome at the evaluations counted so far; `cover` is an
+        INFEASIBLE answer's ``clique_cover`` or ``fractional_clique_cover``."""
+        return SearchOutcome(status, certificate, self.spent, margins, **cover)
 
 
 def _certified(mats: Sequence[Matrix], point: SimplexPoint):
@@ -307,48 +298,39 @@ def _fractional_cover(g) -> tuple | None:
 
 
 def _gadget_answer(gadgets: Sequence[Matrix]) -> SearchOutcome | None:
-    """The answer from G when `gadgets` is exactly the gadget family of some
-    (G, j), else None.
-
-    FEASIBLE at the uniform point on the greedy independent set S when
-    |S| > j, which also rules out a partition into j cliques. Otherwise
-    INFEASIBLE with a re-checked partition into at most j cliques, and when
-    no partition is found, FEASIBLE at the uniform point on a maximum
-    independent set of more than j vertices. A FEASIBLE point must pass
-    :func:`_certified`. The cover is tried before the exact set, so a
-    covered family pays nothing for it. When the maximum independent set
-    has at most j vertices, INFEASIBLE with a fractional clique cover of
-    total weight below j + 1 that :func:`oracle.is_fractional_clique_cover`
-    re-checks. The partition proves det B(pi) <= 0 by Cauchy-Schwarz alone;
-    the fractional cover proves alpha <= j, and det B(pi) <= 0 follows
-    from that only by the Motzkin-Straus theorem.
+    """The gadget decision that :func:`search_general` sets out, with
+    ``budget_spent = 0``, when `gadgets` is exactly the gadget family of
+    some (G, j); None when the family is not recognised, when
+    :func:`oracle.max_independent_set` refuses G, or when
+    :func:`_certified` rejects the witness. The greedy set is computed once
+    and seeds the partition search; the partition is tried before the exact
+    set, so a partitioned family pays nothing for it.
     """
     found = instance_graph(gadgets)
     if found is None:
         return None
     g, j = found
+    decided = _Tracker()
     independent = _greedy_independent_set(g)
     if len(independent) <= j:
-        cover = clique_cover(g, j)
+        cover = _clique_partition(g, j, independent)
         if cover is not None and is_clique_cover(g, cover, j):
-            return SearchOutcome(
-                SearchStatus.INFEASIBLE, None, (), 0, clique_cover=cover
-            )
+            return decided.outcome(SearchStatus.INFEASIBLE, clique_cover=cover)
         independent = _exact_independent_set(g)
         if independent is None:
             return None
         if len(independent) <= j:
             cover = _fractional_cover(g)
-            if cover is None or not is_fractional_clique_cover(g, cover, j):
-                return None
-            return SearchOutcome(
-                SearchStatus.INFEASIBLE, None, (), 0, fractional_clique_cover=cover
-            )
+            if cover is not None and is_fractional_clique_cover(g, cover, j):
+                return decided.outcome(
+                    SearchStatus.INFEASIBLE, fractional_clique_cover=cover
+                )
+            return decided.outcome(SearchStatus.UNKNOWN)
     point = witness_from_independent_set(g, independent)
     report = _certified(gadgets, point)
     if report is None:
         return None
-    return _Tracker(0).outcome(SearchStatus.FEASIBLE, point, dict(report.margins))
+    return decided.outcome(SearchStatus.FEASIBLE, point, dict(report.margins))
 
 
 def search_general(
@@ -358,27 +340,41 @@ def search_general(
 
     An all-exact family that equals ``build_instance(G, j).gadgets`` for
     some (G, j) (see :func:`reduction.instance_graph`) is first answered
-    from G, with ``budget_spent = 0`` and an empty trace. When the
-    min-degree greedy independent set S of G has more than j vertices, the
-    answer is FEASIBLE at the uniform exact point on S, once
-    :func:`_certified` accepts it; a reader can check that its support is
-    independent in O(n^2). Otherwise, when :func:`oracle.clique_cover`
-    finds a partition of the vertices into at most j cliques and
-    :func:`oracle.is_clique_cover` re-checks it, the answer is INFEASIBLE,
-    with the partition in ``clique_cover``. Otherwise, when the exact
-    :func:`oracle.max_independent_set` has more than j vertices, the answer
-    is FEASIBLE at the uniform exact point on it, once :func:`_certified`
-    accepts it. Otherwise alpha <= j, and when an LP over the maximal
-    cliques of G, rationalised and repaired in exact arithmetic, gives a
-    fractional clique cover of total weight below j + 1 that
-    :func:`oracle.is_fractional_clique_cover` re-checks, the answer is
-    INFEASIBLE, with the (clique, weight) pairs in
-    ``fractional_clique_cover``. This proof rests on the Motzkin-Straus
-    theorem; the partition's does not. Every other family, and a gadget
-    family that none of these settles (alpha <= j whose least fractional
-    clique cover weighs j + 1 or more, such as Petersen at j = 4, n > 30,
-    a search that hits its node cap, or a point that :func:`_certified`
-    rejects), takes the search below, which answers FEASIBLE or UNKNOWN.
+    from G by the gadget decision, with ``budget_spent = 0``. By the
+    reduction det B(pi) = 1/j - pi'(I + C)pi, whose greatest value over
+    the simplex is 1/j - 1/alpha (Motzkin-Straus), so some combination is
+    a nonsingular M-matrix iff alpha(G) > j. The decision, in order:
+
+    1. When the min-degree greedy independent set S of G has more than j
+       vertices, FEASIBLE at the uniform exact point on S, once
+       :func:`_certified` accepts it; a reader can check that its support
+       is independent in O(n^2).
+    2. Otherwise, when :func:`oracle.clique_cover`'s search, seeded with
+       S, finds a partition of the vertices into at most j cliques that
+       :func:`oracle.is_clique_cover` re-checks, INFEASIBLE with the
+       partition in ``clique_cover``. It proves det B(pi) <= 0 for every
+       pi by Cauchy-Schwarz.
+    3. Otherwise, when the exact :func:`oracle.max_independent_set` has
+       more than j vertices, FEASIBLE at the uniform exact point on it,
+       once :func:`_certified` accepts it.
+    4. Otherwise alpha <= j. When an LP over the maximal cliques of G,
+       rationalised and repaired in exact arithmetic, gives a fractional
+       clique cover of total weight below j + 1 that
+       :func:`oracle.is_fractional_clique_cover` re-checks, INFEASIBLE
+       with the (clique, weight) pairs in ``fractional_clique_cover``.
+       This proof rests on the Motzkin-Straus theorem; the partition's
+       does not.
+    5. Otherwise UNKNOWN, with no certificate and no margins: alpha <= j
+       is proven, so no point is a witness, but no certificate that a
+       reader can re-check was found. Petersen at j = 4, whose least
+       fractional clique cover weighs 5 = j + 1, ends here.
+
+    Every other family takes the search below, which answers FEASIBLE or
+    UNKNOWN, and so does a gadget family in two cases: when
+    :func:`oracle.max_independent_set` refuses G (n > 30, or its node
+    budget runs out), and when :func:`_certified` rejects the witness of
+    step 1 or 3 (the search can still certify another point, for example
+    under a large tolerance).
 
     Merit is the smallest leading principal minor of the combination. The
     vertices, then (for k <= 4) the 1/8 grid, are each evaluated as one
@@ -408,9 +404,8 @@ def search_general(
 
     def merit(points: np.ndarray) -> np.ndarray:
         combos = np.tensordot(points, stack, axes=(1, 0))
-        vals = leading_minors_batch(combos).min(axis=1)
-        tracker.record(len(points), float(vals.max(initial=-math.inf)))
-        return vals
+        tracker.spent += len(points)
+        return leading_minors_batch(combos).min(axis=1)
 
     def verified(rows: np.ndarray) -> SearchOutcome | None:
         for row in rows:
@@ -489,7 +484,7 @@ def search_symmetric(
         raise DomainError("tolerance must be positive")
     k = len(mats)
     stack = np.stack([m.as_array() for m in mats])
-    tracker = _Tracker(10_000)
+    tracker = _Tracker()
 
     # lower: best smallest-eigenvalue among points inside the polytope (up to
     # LP-scale constraint slack); only these drive the optimality gap
@@ -503,7 +498,7 @@ def search_symmetric(
         b = np.tensordot(w, stack, axes=(0, 0))
         vals, vecs = np.linalg.eigh(b)
         lam = float(vals[0])
-        tracker.record(1, lam)
+        tracker.spent += 1
         off = b.copy()
         np.fill_diagonal(off, -np.inf)
         violation = float(off.max())
@@ -703,7 +698,7 @@ def _descend_spectral(
 
     def probe(points: np.ndarray) -> np.ndarray:
         # forward-difference probes lie off the simplex: counted, never best
-        tracker.record(len(points), -math.inf)
+        tracker.spent += len(points)
         return _spectral_values(stack, points, radius)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
@@ -801,27 +796,20 @@ def hurwitz_search(
     """Search for a Hurwitz-stable convex combination.
 
     An all-exact family whose negation is ``build_instance(G, j).gadgets``
-    is first answered from G by the gadget decision of
-    :func:`search_general`, with ``budget_spent = 0``. Every gadget
-    combination B(pi) is a Z-matrix, and a Z-matrix is positive stable iff
-    it is a nonsingular M-matrix (Berman and Plemmons, Ch. 6). So FEASIBLE
-    comes with the certify report of B(pi) at the uniform exact point on
-    an independent set of more than j vertices, and its
-    ``spectral_abscissa`` margin is minus the POS_STABLE margin;
-    INFEASIBLE comes with a partition of the vertices into at most j
-    cliques in ``clique_cover``, re-checked by :func:`oracle.is_clique_cover`,
-    or with a fractional clique cover of total weight below j + 1 in
-    ``fractional_clique_cover``, re-checked by
-    :func:`oracle.is_fractional_clique_cover`, a proof that rests on the
-    Motzkin-Straus theorem. Either proves that no B(pi) is a nonsingular
-    M-matrix, so that no combination -B(pi) is Hurwitz.
+    is first answered by the gadget decision of :func:`search_general`,
+    which gives the same outcome here. Every gadget combination B(pi) is a
+    Z-matrix, and a Z-matrix is positive stable iff it is a nonsingular
+    M-matrix (Berman and Plemmons, Ch. 6), so a cover that proves no B(pi)
+    is a nonsingular M-matrix also proves that no -B(pi) is Hurwitz. A
+    FEASIBLE answer adds a ``spectral_abscissa`` margin, minus the
+    POS_STABLE margin of B(pi).
 
-    Every other family, and a gadget family the decision does not settle,
-    takes a descent on the spectral abscissa that stops after the first
-    round whose best value is below -tolerance; FEASIBLE then requires the
-    certificate's eigenvalues, recomputed from scratch, to all sit below
-    -tolerance, and otherwise the answer is UNKNOWN. Raises DomainError for
-    a budget below 1.
+    Every other family, and a gadget family the decision leaves to the
+    search, takes a descent on the spectral abscissa that stops after the
+    first round whose best value is below -tolerance; FEASIBLE then
+    requires the certificate's eigenvalues, recomputed from scratch, to all
+    sit below -tolerance, and otherwise the answer is UNKNOWN. Raises
+    DomainError for a budget below 1.
     """
     mats = list(matrices)
     _validate_family(mats)

@@ -258,6 +258,17 @@ class TestSearchCommands:
         cover = [[v - 1 for v in part] for part in payload["clique_cover"]]
         assert is_clique_cover(parse_graph(K3_TEXT), cover, 1)
 
+    def test_search_decided_unknown_exit_two(self, tmp_path):
+        # Petersen at j = 4: alpha = j, but no cover re-checks, so the
+        # gadget decision answers UNKNOWN without evaluating a point
+        path = tmp_path / "petersen4.json"
+        path.write_text(matrices_to_json(build_instance(corpus.petersen(), 4).gadgets))
+        res = mpoly_cmd("search", str(path), "--json")
+        assert res.returncode == 2
+        payload = json.loads(res.stdout)
+        assert payload == {"status": "UNKNOWN", "certificate": None,
+                           "margins": None, "budget_spent": 0}
+
     def test_search_exact_flag_gives_exact_certificate(self, tmp_path):
         path = tmp_path / "family.json"
         path.write_text(
@@ -363,6 +374,18 @@ class TestPipelineCommand:
             "rests_on": "Motzkin-Straus theorem",
         }
 
+    def test_petersen_j4_agree_unknown(self, tmp_path):
+        # UNKNOWN with alpha <= j is an honest answer, not a miss
+        path = tmp_path / "petersen.col"
+        path.write_text(write_graph(corpus.petersen()))
+        res = mpoly_cmd("pipeline", str(path), "4", "--json")
+        assert res.returncode == 0
+        payload = json.loads(res.stdout)
+        assert payload["verdict"] == "AGREE"
+        assert payload["truly_feasible"] is False
+        assert payload["search"]["status"] == "UNKNOWN"
+        assert payload["search"]["budget_spent"] == 0
+
     def test_k3_j1_agree(self, workspace):
         res = mpoly_cmd("pipeline", str(workspace / "k3.col"), "1", "--json")
         assert res.returncode == 0
@@ -385,7 +408,7 @@ class TestPipelineCommand:
         assert report["search"]["clique_cover"] == [[1, 2, 3]]
 
     def test_infeasible_on_feasible_instance_is_soundness_violation(self, monkeypatch):
-        infeasible = SearchOutcome(SearchStatus.INFEASIBLE, None, (), 0)
+        infeasible = SearchOutcome(SearchStatus.INFEASIBLE, None, 0)
         monkeypatch.setattr(
             mpoly.cli, "search_general", lambda mats, budget, seed: infeasible
         )

@@ -1,6 +1,8 @@
 """Brute-force independent sets and the simplex quadratic-form minimizer."""
 
+import importlib
 import math
+import pkgutil
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
@@ -25,6 +27,7 @@ from mpoly import (
     quadratic_form,
     witness_from_independent_set,
 )
+import mpoly
 import mpoly.oracle
 from mpoly.oracle import MSolveResult, _forms, _ms_round, maximal_cliques
 from mpoly.simplex import sample_simplex_rows
@@ -353,3 +356,15 @@ class TestAlphaLowerBound:
             alpha = corpus.exhaustive_alpha(g)
             res = motzkin_straus_min(g, restarts=10, seed=2)
             assert alpha_lower_bound(res.value) <= alpha
+
+
+def test_no_module_keeps_a_cache():
+    # results depend on their arguments alone, so no module holds a memo
+    # that one call fills for the next; __main__ runs the CLI on import
+    for info in pkgutil.iter_modules(mpoly.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"mpoly.{info.name}")
+        cached = [name for name, obj in vars(module).items()
+                  if hasattr(obj, "cache_info")]
+        assert cached == [], info.name
