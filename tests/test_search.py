@@ -1004,3 +1004,67 @@ class TestSpectralDescent:
             # uniform pass, vertices, then the first round's eig of the 15
             # drawn starts: the uniform pass already scored start 0
             assert out.budget_spent == 1 + 5 + 15
+
+
+PATH5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
+def float_gadgets(g: Graph, j: int) -> list:
+    return [m.to_float() for m in build_instance(g, j).gadgets]
+
+
+class TestBudgetAccounting:
+    # budget_spent at every budget 1..80, as one run of numbers; the status
+    # is FEASIBLE from the given budget on (None: UNKNOWN throughout)
+    PINNED = {
+        ("path5", "general"): (9, """
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24
+            25 26 27 28 29 29 29 29 29 29 29 29 29 29 29 29 29 29 29 29 29
+            29 29 29 29 29 29 29 29 29 29 29 29 29 29 29 29 29 29 29 29 29
+            29 29 29 29 29 29 29 29 29 29 29 29 29 29"""),
+        ("path5", "hurwitz"): (15, """
+            1 2 3 4 5 6 6 6 6 6 6 6 6 6 10 10 10 10 10 10 10 10 10 10 15 15 15
+            15 15 15 15 15 15 15 20 20 20 20 20 20 20 20 20 20 9 9 9 9 9 9 9 9 9
+            9 10 10 10 10 10 10 10 10 10 10 11 11 11 11 11 11 11 11 11 11 12 12
+            12 12 12 12"""),
+        ("k2", "general"): (None, """
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26
+            27 28 29 30 31 32 33 34 35 35 35 35 35 35 41 41 41 41 41 41 47 47 47
+            47 47 47 53 53 53 53 53 53 59 59 59 59 59 59 65 65 65 65 65 65 71 71
+            71 71 71 71 77 77 77 77"""),
+        ("k2", "hurwitz"): (None, """
+            1 2 3 4 5 6 7 8 9 10 11 12 12 12 12 12 12 16 16 16 16 16 16 16 21 21
+            21 21 21 21 21 26 26 26 26 26 26 26 31 31 31 31 31 31 31 36 36 36 36
+            36 36 36 41 41 41 41 41 41 41 46 46 46 46 46 46 46 51 51 51 51 51 51
+            51 56 56 56 56 56 56 56"""),
+    }
+
+    @pytest.mark.parametrize("family, search", sorted(PINNED))
+    def test_status_and_spent_at_every_small_budget(self, family, search):
+        # path5 at j = 2 (k = 5, no grid) turns FEASIBLE within the budgets;
+        # K2 at j = 1 (k = 2, a 9-point grid) never does, so its rounds run
+        # on; hurwitz_search takes the negated family
+        floats = float_gadgets(PATH5, 2) if family == "path5" else \
+            float_gadgets(corpus.complete(2), 1)
+        run = search_general if search == "general" else \
+            (lambda mats, **kw: hurwitz_search([-m for m in mats], **kw))
+        first_feasible, spent = self.PINNED[family, search]
+        for budget, expected in zip(range(1, 81), map(int, spent.split()), strict=True):
+            out = run(floats, budget=budget, seed=0)
+            feasible = first_feasible is not None and budget >= first_feasible
+            assert out.status is (
+                SearchStatus.FEASIBLE if feasible else SearchStatus.UNKNOWN
+            ), budget
+            assert out.budget_spent == expected, budget
+
+    def test_grid_witness_scores_no_drawn_start(self):
+        # the star K(1,3) at j = 2: neither the uniform point nor a vertex is
+        # Hurwitz, but the grid point (0, 3/8, 3/8, 1/4) is, so the descent
+        # stops after the uniform point, the 4 vertices and the 165-point grid
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        passes = [len(p) for p in mpoly.search._grid_passes(4)]
+        assert passes == [4, 165]
+        out = hurwitz_search([-m for m in float_gadgets(star, 2)], seed=0)
+        assert out.status is SearchStatus.FEASIBLE
+        assert out.certificate.weights == (0.0, 0.375, 0.375, 0.25)
+        assert out.budget_spent == 1 + 4 + 165
