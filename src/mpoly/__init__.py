@@ -60,14 +60,11 @@ from .reduction import (
     ReductionInstance,
     build_instance,
     convex_combination,
-    decide_with_alpha,
     det_closed_form,
-    feasible_by_det,
     instance_graph,
     nonneg_parts,
     parse_graph,
     quadratic_form,
-    stable_set_exists,
     witness_from_independent_set,
     write_graph,
 )

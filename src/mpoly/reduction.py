@@ -235,22 +235,18 @@ def quadratic_form(g: Graph, pi: SimplexPoint):
 
 
 def det_closed_form(g: Graph, j: int, pi: SimplexPoint):
-    """Closed-form determinant 1/j - pi' (I + C) pi of the combined gadget."""
+    """Closed-form determinant 1/j - pi' (I + C) pi of the combined gadget.
+
+    The combined matrix is a Z-matrix with an identity leading block, so
+    its leading principal minors below the last are all 1, and it is a
+    nonsingular M-matrix at pi iff this value, the last minor, is positive.
+    Strict and exact for rational weights.
+    """
     _check_threshold(g, j)
     form = quadratic_form(g, pi)
     if pi.is_exact:
         return Fraction(1, j) - form
     return 1.0 / j - form
-
-
-def feasible_by_det(g: Graph, j: int, pi: SimplexPoint) -> bool:
-    """True when the combined gadget is a nonsingular M-matrix at pi.
-
-    Because the combined matrix has an identity leading block, positivity of
-    the closed-form determinant is equivalent to all leading minors being
-    positive. Strict and exact for rational weights.
-    """
-    return det_closed_form(g, j, pi) > 0
 
 
 def witness_from_independent_set(g: Graph, vertices: Iterable[int]) -> SimplexPoint:
@@ -272,21 +268,3 @@ def witness_from_independent_set(g: Graph, vertices: Iterable[int]) -> SimplexPo
     return SimplexPoint(
         tuple(share if v in member else Fraction(0) for v in range(g.n))
     )
-
-
-def decide_with_alpha(g: Graph, j: int, alpha: int) -> bool:
-    """Ground-truth instance feasibility: alpha > j (strict).
-
-    Feasibility of the reduction is strict because the quadratic form's
-    minimum is exactly 1/alpha; at j = alpha the determinant is pinned to 0.
-    """
-    if not 1 <= j <= g.n:
-        raise DomainError(f"threshold j must satisfy 1 <= j <= {g.n}, got {j}")
-    if not 1 <= alpha <= g.n:
-        raise DomainError(f"alpha must satisfy 1 <= alpha <= {g.n}, got {alpha}")
-    return alpha > j
-
-
-def stable_set_exists(alpha: int, j: int) -> bool:
-    """The non-strict decision 'is there an independent set of size >= j'."""
-    return alpha >= j

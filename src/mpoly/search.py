@@ -34,12 +34,12 @@ family from G when it can:
   eigenvalues.
 
 All searches are deterministic for a fixed seed. The general search and
-the spectral descents move their starts in lockstep rounds that share one
-line-search round and one forward-difference helper, and admit to a round
-only the starts whose evaluations fit in the budget left. Of the starts
-that cross the tolerance in one round, the general search re-certifies the
-lowest start index first; the spectral descents keep the best value found,
-ties to the lowest start.
+the spectral descents move their starts with one engine,
+:func:`_ascend`, which owns the lockstep rounds, the budget admission, the
+step schedule and the line search; each caller gives only its gradient
+and its stop rule. Of the starts that cross the tolerance in one round,
+the general search re-certifies the lowest start index first; the
+spectral descents keep the best value found, ties to the lowest start.
 
 Each decision is made in one place. :func:`_gadget_answer` is the one
 gadget decision of the general and Hurwitz searches. :func:`_certified` is
@@ -222,28 +222,49 @@ def _forward_differences(f, x, fx, h):
     return (f(probes).reshape(-1, k) - fx[:, None]) / h
 
 
-def _line_search_round(x, fx, grads, step, merit):
-    """One projected line-search round of ascent on `merit` for each row of x.
+def _ascend(value, gradient, w, fw, tracker, settle, rounds=math.inf):
+    """The one projected-ascent engine: lockstep rounds of ascent on the
+    batch function `value` from the rows of w (values fw, both updated in
+    place). Returns the outcome that `settle` gives, else None once no row
+    goes on or after `rounds` rounds.
 
-    Tries the steps step, step/4, step/16 and step/64 along each row's
-    gradient, all in one merit batch; a step counts only after every earlier
-    one moved (by 1e-14 or more) and failed. Returns the mask of rows that
-    improved by more than 1e-15, and for those rows the first improving
-    point, its merit and the next step (1.6 times the one taken, at most 1).
+    A round calls settle(x, fx) on the rows that moved in the last round
+    (all rows at first), which gives an outcome or the mask of rows that go
+    on, and admits the leading ones whose k + 4 evaluations fit in
+    ``tracker.left()``. gradient(x, fx) (k evaluations or fewer) gives each
+    admitted row's direction, and one `value` batch tries the steps s, s/4,
+    s/16 and s/64 along it, projected onto the simplex (s starts at 0.25);
+    a step counts only after every earlier one moved by 1e-14 or more and
+    failed. A row moves to its first step that gains more than 1e-15, with
+    next s 1.6 times that step, at most 1; a row that gains nothing stops.
     """
-    rows, k = x.shape
-    steps = step[:, None] * LINE_SEARCH_SCALES
-    cands = project_rows_to_simplex(
-        (x[:, None, :] + steps[:, :, None] * grads[:, None, :]).reshape(-1, k)
-    ).reshape(rows, -1, k)
-    fc = merit(cands.reshape(-1, k)).reshape(rows, -1)
-    # a step is tried only after every earlier one moved and failed
-    tried = np.cumprod(np.abs(cands - x[:, None, :]).max(axis=2) >= 1e-14, axis=1)
-    better = tried.astype(bool) & (fc > fx[:, None] + 1e-15)
-    took = better.any(axis=1)
-    first = better.argmax(axis=1)[took]
-    next_step = np.minimum(steps[took, first] * 1.6, 1.0)
-    return took, cands[took, first], fc[took, first], next_step
+    k = w.shape[1]
+    step = np.full(len(w), 0.25)
+    moved = np.arange(len(w))
+    done = 0
+    while done < rounds:
+        going = settle(w[moved], fw[moved])
+        if isinstance(going, SearchOutcome):
+            return going
+        live = moved[going][: tracker.left() // (k + 4)]
+        if not live.size:
+            return None
+        x, fx = w[live], fw[live]
+        grads = gradient(x, fx)
+        steps = step[live, None] * LINE_SEARCH_SCALES
+        cands = project_rows_to_simplex(
+            (x[:, None, :] + steps[:, :, None] * grads[:, None, :]).reshape(-1, k)
+        ).reshape(len(live), -1, k)
+        fc = value(cands.reshape(-1, k)).reshape(len(live), -1)
+        tried = np.cumprod(np.abs(cands - x[:, None, :]).max(axis=2) >= 1e-14, axis=1)
+        better = tried.astype(bool) & (fc > fx[:, None] + 1e-15)
+        took = better.any(axis=1)
+        first = better.argmax(axis=1)[took]
+        moved = live[took]
+        w[moved], fw[moved] = cands[took, first], fc[took, first]
+        step[moved] = np.minimum(steps[took, first] * 1.6, 1.0)
+        done += 1
+    return None
 
 
 # -- general (nonsymmetric) M-matrix search ----------------------------------
@@ -379,16 +400,13 @@ def search_general(
     Merit is the smallest leading principal minor of the combination. The
     vertices, then (for k <= 4) the 1/8 grid, are each evaluated as one
     batch. Then up to 24 starts (the uniform point, then Dirichlet draws
-    from ``default_rng(seed)``) ascend in lockstep rounds: one batch of
-    forward-difference probes and one of four projected line-search steps
-    per round, of which each start takes the first that improves its merit
-    and stops when none does or a step no longer moves. Every candidate
+    from ``default_rng(seed)``) take :func:`_ascend` on the merit, with
+    forward-difference gradients, until no start moves. Every candidate
     with merit above the tolerance is independently re-certified by
     :func:`_certified` (in exact arithmetic, at its :func:`rationalize`
     snap, when the inputs are rational) before FEASIBLE is reported, in
     pass order, and lowest start index first within a round. Each batch is
-    cut to the budget left, at one evaluation per point and k + 4 per start
-    and round, so ``budget_spent <= budget``.
+    cut to the budget left, so ``budget_spent <= budget``.
     """
     mats = list(matrices)
     _validate_family(mats)
@@ -422,27 +440,19 @@ def search_general(
         if res is not None:
             return res
 
-    # multi-start projected first-order ascent, all live starts in lockstep
     rng = np.random.default_rng(seed)
     w = np.vstack([np.full(k, 1.0 / k), sample_simplex_rows(rng, MAX_STARTS - 1, k)])
     w = w[: tracker.left()]
-    fv = merit(w)
-    step = np.full(len(w), 0.25)
-    moved_to = np.arange(len(w))
-    while True:
-        res = verified(w[moved_to[fv[moved_to] > tol]])
-        if res is not None:
-            return res
-        live = moved_to[fv[moved_to] <= tol][: tracker.left() // (k + 4)]
-        if not live.size:
-            return tracker.outcome(SearchStatus.UNKNOWN)
-        x, fx = w[live], fv[live]
-        grads = _forward_differences(merit, x, fx, MERIT_FD_STEP)
-        took, w_new, f_new, step_new = _line_search_round(
-            x, fx, grads, step[live], merit
-        )
-        moved_to = live[took]
-        w[moved_to], fv[moved_to], step[moved_to] = w_new, f_new, step_new
+
+    def gradient(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        return _forward_differences(merit, x, fx, MERIT_FD_STEP)
+
+    def settle(x: np.ndarray, fx: np.ndarray):
+        # the rows that cross the tolerance are re-certified; the rest go on
+        return verified(x[fx > tol]) or fx <= tol
+
+    res = _ascend(merit, gradient, w, merit(w), tracker, settle)
+    return res or tracker.outcome(SearchStatus.UNKNOWN)
 
 
 # -- symmetric convex path ----------------------------------------------------
@@ -670,30 +680,27 @@ def _descend_spectral(
 
     The uniform point, the vertices and (for k <= 4) the 1/8 grid are each
     evaluated as one batch. Then 16 starts (the uniform point, then
-    Dirichlet draws from ``default_rng(seed)``) descend in lockstep rounds:
-    one batched eig and one batched solve for each live start's value and
-    right and left eigenvectors, one eigvals batch of forward-difference
-    probes for the rows whose analytic gradient is gated off, and the
-    general search's line-search round on the negated value. A start stops
-    after a round without improvement or ITERS_PER_START rounds. The eig
-    counts as an evaluation only for a start whose point no earlier batch
-    scored: the drawn starts in their first round. A round admits only the
-    live starts whose k + 4 evaluations (k + 5 for an unscored start) fit
-    in the budget left, so ``budget_spent <= budget`` for any budget >= 1
-    (the uniform point is always evaluated, so a best exists). The descent
-    stops once the best value is below ``stop_below``. The best is kept
-    over simplex points, not probes, ties to the lowest start in a batch.
-    Returns the tracker, whose best is the negated best value and whose
-    best point holds its weights.
+    Dirichlet draws from ``default_rng(seed)``) take up to ITERS_PER_START
+    rounds of :func:`_ascend` on the negated value. The drawn starts are
+    scored in one batch first, as many as the first round can move. A
+    round's gradient is analytic, from one batched eig and one batched
+    solve, uncounted since every point it sees is already scored; a row
+    whose analytic gradient is gated off takes one eigvals batch of
+    forward-difference probes instead. Every batch fits in the budget left,
+    so ``budget_spent <= budget`` for any budget >= 1 (the uniform point is
+    always evaluated, so a best exists). The descent stops once the best
+    value is below ``stop_below``. The best is kept over simplex points, not
+    probes, ties to the lowest start in a batch. Returns the tracker, whose
+    best is the negated best value and whose best point holds its weights.
     """
     k = len(stack)
     tracker = _Tracker(budget)
 
-    def keep(points: np.ndarray, vals: np.ndarray, count: int | None = None):
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        vals = _spectral_values(stack, points, radius)
         if len(vals):
             i = int(np.argmin(vals))  # the lowest index among ties
-            count = len(points) if count is None else count
-            tracker.record(count, -float(vals[i]), points[i].copy())
+            tracker.record(len(points), -float(vals[i]), points[i].copy())
         return vals
 
     def probe(points: np.ndarray) -> np.ndarray:
@@ -701,44 +708,37 @@ def _descend_spectral(
         tracker.spent += len(points)
         return _spectral_values(stack, points, radius)
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        return keep(points, _spectral_values(stack, points, radius))
-
     def stopped() -> bool:
         return -tracker.best < stop_below
 
-    uniform = np.full((1, k), 1.0 / k)
-    evaluate(uniform)
-    for comps in _grid_passes(k):
-        if stopped():
-            return tracker
-        evaluate(comps[: tracker.left()] / GRID_DENOM)
-
-    rng = np.random.default_rng(seed)
-    w = np.vstack([uniform, sample_simplex_rows(rng, SPECTRAL_STARTS - 1, k)])
-    step = np.full(len(w), 0.25)
-    scored = np.arange(len(w)) == 0  # the uniform pass scored start 0
-    live = np.arange(len(w))
-    for _ in range(ITERS_PER_START):
-        live = live[np.cumsum(k + 4 + ~scored[live]) <= tracker.left()]
-        if not live.size or stopped():
-            break
-        x = w[live]
-        fx, grads, smooth = _spectral_gradients(stack, x, radius)
-        keep(x, fx, int((~scored[live]).sum()))
-        scored[live] = True
-        if stopped():
-            break
+    def gradient(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        # fx holds the negated values
+        _, grads, smooth = _spectral_gradients(stack, x, radius)
         rough = ~smooth
         if rough.any():
             grads[rough] = _forward_differences(
-                probe, x[rough], fx[rough], SPECTRAL_FD_STEP
+                probe, x[rough], -fx[rough], SPECTRAL_FD_STEP
             )
-        took, w_new, _, step_new = _line_search_round(
-            x, -fx, -grads, step[live], lambda p: -evaluate(p)
-        )
-        live = live[took]
-        w[live], step[live] = w_new, step_new
+        return -grads
+
+    uniform = np.full((1, k), 1.0 / k)
+    fw = -evaluate(uniform)
+    for comps in _grid_passes(k):
+        if not stopped():
+            evaluate(comps[: tracker.left()] / GRID_DENOM)
+    if stopped():
+        return tracker
+    rng = np.random.default_rng(seed)
+    drawn = sample_simplex_rows(rng, SPECTRAL_STARTS - 1, k)
+    # the first round moves the uniform start for k + 4 evaluations, then
+    # each drawn start that fits 1 more to score it and k + 4 to move it
+    drawn = drawn[: max(tracker.left() - (k + 4), 0) // (k + 5)]
+    w = np.vstack([uniform, drawn])
+    fw = np.concatenate([fw, -evaluate(drawn)])
+    _ascend(
+        lambda p: -evaluate(p), gradient, w, fw, tracker,
+        lambda x, fx: np.full(len(fx), not stopped()), ITERS_PER_START,
+    )
     return tracker
 
 

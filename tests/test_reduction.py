@@ -14,10 +14,8 @@ from mpoly import (
     SimplexPoint,
     build_instance,
     convex_combination,
-    decide_with_alpha,
     det,
     det_closed_form,
-    feasible_by_det,
     instance_graph,
     is_z_matrix,
     leading_principal_minors,
@@ -26,7 +24,6 @@ from mpoly import (
     parse_graph,
     quadratic_form,
     spectral_radius,
-    stable_set_exists,
     witness_from_independent_set,
     write_graph,
 )
@@ -291,16 +288,16 @@ class TestDetClosedForm:
 
 class TestFeasibility:
     def test_examples(self):
-        assert feasible_by_det(EMPTY2, 1, SimplexPoint.uniform(2))
-        assert not feasible_by_det(SINGLE_EDGE, 1, SimplexPoint.uniform(2))
-        assert feasible_by_det(corpus.empty(3), 2, SimplexPoint.uniform(3))
+        assert det_closed_form(EMPTY2, 1, SimplexPoint.uniform(2)) > 0
+        assert not (det_closed_form(SINGLE_EDGE, 1, SimplexPoint.uniform(2)) > 0)
+        assert det_closed_form(corpus.empty(3), 2, SimplexPoint.uniform(3)) > 0
 
     def test_feasible_point_certifies_yes(self):
         from mpoly import certify
 
         inst = build_instance(corpus.empty(3), 2)
         pt = SimplexPoint.uniform(3)
-        assert feasible_by_det(corpus.empty(3), 2, pt)
+        assert det_closed_form(corpus.empty(3), 2, pt) > 0
         rep = certify(convex_combination(inst.gadgets, pt))
         assert rep.consensus == "YES"
 
@@ -321,8 +318,7 @@ class TestFeasibility:
             witness = witness_from_independent_set(g, res.witness)
             for j in range(1, g.n + 1):
                 expected = res.alpha > j
-                assert feasible_by_det(g, j, witness) == expected
-                assert decide_with_alpha(g, j, res.alpha) == expected
+                assert (det_closed_form(g, j, witness) > 0) == expected
                 if not expected:
                     # the quadratic form can never dip below 1/alpha
                     ms = motzkin_straus_min(g, restarts=10 * g.n, seed=3)
@@ -394,25 +390,3 @@ class TestNonnegParts:
             assert (d > 0) == (rho < 1.0), (g, j, pt)
             checked += 1
         assert checked > 80
-
-
-class TestDecisions:
-    def test_decide_examples(self):
-        assert not decide_with_alpha(SINGLE_EDGE, 1, 1)
-        assert decide_with_alpha(EMPTY2, 1, 2)
-        assert decide_with_alpha(corpus.empty(4), 3, 4)
-        assert not decide_with_alpha(corpus.complete(4), 4, 1)
-
-    def test_j_equals_n_stable_set_iff_edgeless(self):
-        # at j = n only the edgeless graph reaches the threshold, and it does
-        # so exactly (alpha = n), so strict instance feasibility still fails
-        for g in corpus.small_graphs(4):
-            alpha = max_independent_set(g).alpha
-            assert stable_set_exists(alpha, g.n) == (len(g.edges) == 0)
-            assert not decide_with_alpha(g, g.n, alpha)
-
-    def test_both_threshold_predicates(self):
-        # instance feasibility is the strict inequality; the set-existence
-        # question is the non-strict one
-        assert stable_set_exists(2, 2)
-        assert not decide_with_alpha(EMPTY2, 2, 2)
