@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -344,6 +345,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("must be a positive finite number")
+    return value
+
+
 def _add_common(sub, budget=False, seed=False, backing=False):
     sub.add_argument("--json", action="store_true", help="emit JSON output")
     sub.add_argument("--tol", type=float, default=None, help="global tolerance")
@@ -414,17 +422,19 @@ def build_parser() -> _Parser:
     p = subs.add_parser(
         "search",
         help="search for an M-matrix combination; an exact gadget family is "
-        "answered from its graph by the gadget decision that "
-        "mpoly.search.search_general documents",
+        "answered from its graph by one branch and bound, FEASIBLE from an "
+        "independent set of more than j vertices or INFEASIBLE from a "
+        "re-checked threshold tree (JSON clique_cover or threshold_proof), "
+        "as mpoly.search.search_general documents",
     )
     p.add_argument("matrices")
     p.add_argument("--symmetric", action="store_true", help="certified convex path")
     p.add_argument(
         "--gap-tol",
-        type=float,
+        type=_positive_float,
         default=1e-6,
-        help="symmetric path: FEASIBLE needs a smallest eigenvalue above it, "
-        "INFEASIBLE an upper bound below minus it",
+        help="symmetric path, a positive finite number: FEASIBLE needs a "
+        "smallest eigenvalue above it, INFEASIBLE an upper bound below minus it",
     )
     _add_common(p, budget=True, seed=True, backing=True)
     p.set_defaults(func=cmd_search)

@@ -11,6 +11,7 @@ starts at ``DEFAULT_TOLERANCE``.
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 
 DEFAULT_TOLERANCE = 1e-9
@@ -26,10 +27,11 @@ def tolerance() -> float:
 
 
 def set_tolerance(value: float) -> None:
-    """Set the tolerance for the current context; must be positive."""
+    """Set the tolerance for the current context; must be positive and
+    finite (an infinite tolerance would make every float verdict MARGINAL)."""
     value = float(value)
-    if not value > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError("tolerance must be positive and finite")
     _current.set(value)
 
 

@@ -1,24 +1,24 @@
 """Ground-truth graph machinery.
 
-Exact maximum independent set by budgeted branch and bound, a capped
+Exact maximum independent set by budgeted branch and bound; a capped
 search for a partition of the vertices into at most j cliques (which
-proves alpha <= j) with an independent exact checker, capped enumeration
-of the maximal cliques with an exact checker for fractional clique covers
-(which also prove alpha <= j), and a multi-start projected-gradient
-minimizer for the quadratic form y' (I + C) y over the probability simplex,
-whose global minimum equals 1/alpha(G). Each round of the minimizer
-searches exactly along the projected-gradient ray of every live restart,
-and a restart retires as soon as it stops moving. Restart start points
-depend only on the seed and restart index, so results are reproducible and
-independent of execution order; ties between restarts resolve to the lowest
-restart index.
+proves alpha <= j) with an independent exact checker; one capped branch
+and bound, :func:`decide_threshold`, that either finds an independent set
+of more than j vertices or builds a tree of such partitions that proves
+alpha <= j, with an independent integer checker for the tree; and a
+multi-start projected-gradient minimizer for the quadratic form
+y' (I + C) y over the probability simplex, whose global minimum equals
+1/alpha(G). Each round of the minimizer searches exactly along the
+projected-gradient ray of every live restart, and a restart retires as
+soon as it stops moving. Restart start points depend only on the seed and
+restart index, so results are reproducible and independent of execution
+order; ties between restarts resolve to the lowest restart index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .simplex import SimplexPoint, project_rows_to_simplex, sample_simplex_rows
 MAX_EXACT_VERTICES = 30
 DEFAULT_NODE_BUDGET = 100_000_000
 STATIONARITY_TOL = 1e-10
-# nodes the clique-cover search and the maximal-clique enumeration may each
-# visit before they give up undecided
+# nodes the clique-cover search and the threshold tree may each visit
+# before they give up undecided
 CLIQUE_COVER_NODE_CAP = 10_000
 
 
@@ -41,22 +41,20 @@ class IndependentSetResult:
     node_count: int
 
 
-def _greedy_seed(masks: list[int], n: int) -> int:
-    """Min-degree greedy independent set, as a pruning seed (returns a mask)."""
-    avail = (1 << n) - 1
+def _members(mask: int) -> list[int]:
+    """The vertices in `mask`, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _greedy_seed(masks: list[int], avail: int) -> int:
+    """Min-degree greedy independent set of the vertices in the mask
+    `avail`, as a pruning seed (returns a mask)."""
     chosen = 0
     while avail:
-        verts = [v for v in range(n) if avail >> v & 1]
-        v = min(verts, key=lambda u: (bin(masks[u] & avail).count("1"), u))
+        v = min(_members(avail), key=lambda u: (bin(masks[u] & avail).count("1"), u))
         chosen |= 1 << v
         avail &= ~(masks[v] | 1 << v)
     return chosen
-
-
-def _greedy_independent_set(g: Graph) -> tuple[int, ...]:
-    """The vertices of ``_greedy_seed`` on g, ascending."""
-    seed = _greedy_seed(g.neighbor_masks(), g.n)
-    return tuple(v for v in range(g.n) if seed >> v & 1)
 
 
 def max_independent_set(
@@ -72,7 +70,7 @@ def max_independent_set(
     if n > MAX_EXACT_VERTICES:
         raise DomainError(f"exact search supports n <= {MAX_EXACT_VERTICES}, got {n}")
     masks = g.neighbor_masks()
-    best_mask = _greedy_seed(masks, n)
+    best_mask = _greedy_seed(masks, (1 << n) - 1)
     best = bin(best_mask).count("1")
     nodes = 0
 
@@ -87,15 +85,14 @@ def max_independent_set(
             best = size
             best_mask = chosen
             return
-        verts = [v for v in range(n) if avail >> v & 1]
-        v = max(verts, key=lambda u: (bin(masks[u] & avail).count("1"), -u))
+        v = max(_members(avail), key=lambda u: (bin(masks[u] & avail).count("1"), -u))
         walk(avail & ~(masks[v] | 1 << v), size + 1, chosen | 1 << v)
         walk(avail & ~(1 << v), size, chosen)
 
     full = (1 << n) - 1
     if best < n:
         walk(full, 0, 0)
-    witness = frozenset(v for v in range(n) if best_mask >> v & 1)
+    witness = frozenset(_members(best_mask))
     return IndependentSetResult(alpha=best, witness=witness, node_count=nodes)
 
 
@@ -114,19 +111,20 @@ def clique_cover(g: Graph, j: int) -> tuple[tuple[int, ...], ...] | None:
     ordered by their smallest vertex. Check a result with
     :func:`is_clique_cover`.
     """
-    return _clique_partition(g, j, _greedy_independent_set(g))
+    masks = g.neighbor_masks()
+    full = (1 << g.n) - 1
+    return _clique_partition(masks, full, j, _greedy_seed(masks, full))
 
 
 def _clique_partition(
-    g: Graph, j: int, seeds: tuple[int, ...]
+    masks: list[int], within: int, j: int, seed: int
 ) -> tuple[tuple[int, ...], ...] | None:
-    """:func:`clique_cover` with its seeds, the independent set ``seeds``
-    of g, given; None at once when ``seeds`` has more than j vertices."""
-    n = g.n
-    masks = g.neighbor_masks()
+    """:func:`clique_cover` of the vertices in the mask `within`, with its
+    seeds, the independent set `seed` inside `within` (a mask), given;
+    None at once when `seed` has more than j vertices."""
+    seeds = _members(seed)
     if len(seeds) > j:
         return None
-    seed = sum(1 << v for v in seeds)
     members = [1 << v for v in seeds]
     # joinable[p]: the vertices adjacent to every member of part p
     joinable = [masks[v] for v in seeds]
@@ -177,11 +175,29 @@ def _clique_partition(
             joinable.pop()
         return False
 
-    if not extend(((1 << n) - 1) & ~seed):
+    if not extend(within & ~seed):
         return None
-    return tuple(sorted(
-        tuple(v for v in range(n) if mask >> v & 1) for mask in members
-    ))
+    return tuple(sorted(tuple(_members(mask)) for mask in members))
+
+
+def _is_partition(masks: list[int], parts, within: int, t: int) -> bool:
+    """The leaf clause of :func:`is_threshold_proof`: `parts` are at most t
+    cliques that hold every vertex in the mask `within` exactly once and
+    no other vertex."""
+    if len(parts) > t:
+        return False
+    seen = 0
+    for part in parts:
+        clique = 0
+        for u in part:
+            if not 0 <= u < len(masks):
+                return False
+            bit = 1 << u
+            if seen & bit or masks[u] & clique != clique:
+                return False
+            clique |= bit
+            seen |= bit
+    return seen == within
 
 
 def is_clique_cover(g: Graph, parts, j: int) -> bool:
@@ -189,95 +205,108 @@ def is_clique_cover(g: Graph, parts, j: int) -> bool:
 
     Checks, in O(n^2) and independently of :func:`clique_cover`, that there
     are at most j parts, that every vertex of g lies in exactly one part,
-    and that the vertices of each part are pairwise adjacent. Such a
-    partition proves alpha(G) <= j, and for the gadget family at threshold
-    j it proves that no convex combination is a nonsingular M-matrix: by
-    Cauchy-Schwarz pi'(I + C)pi >= sum over parts K of pi(K)^2 >= 1/j, so
-    det B(pi) = 1/j - pi'(I + C)pi <= 0.
+    and that the vertices of each part are pairwise adjacent: the leaf
+    clause of :func:`is_threshold_proof`, so a partition is the one-leaf
+    threshold proof. Such a partition proves alpha(G) <= j, and for the
+    gadget family at threshold j it proves that no convex combination is a
+    nonsingular M-matrix: by Cauchy-Schwarz pi'(I + C)pi >= sum over parts
+    K of pi(K)^2 >= 1/j, so det B(pi) = 1/j - pi'(I + C)pi <= 0.
     """
-    if len(parts) > j:
-        return False
-    seen = [False] * g.n
-    for part in parts:
-        part = list(part)
-        for a, u in enumerate(part):
-            if not 0 <= u < g.n or seen[u]:
-                return False
-            seen[u] = True
-            if not all(g.has_edge(u, w) for w in part[:a]):
-                return False
-    return all(seen)
+    return _is_partition(g.neighbor_masks(), parts, (1 << g.n) - 1, j)
 
 
-def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...] | None:
-    """Every maximal clique of g, or None past CLIQUE_COVER_NODE_CAP nodes.
+@dataclass(frozen=True)
+class Branch:
+    """An inner node of a threshold proof: at the claim alpha(G[A]) <= t,
+    `with_vertex` proves alpha(G[A - N[vertex]]) <= t - 1 and
+    `without_vertex` proves alpha(G[A - vertex]) <= t. Every other node is
+    a leaf, a partition of A into at most t cliques."""
 
-    Bron-Kerbosch with pivoting over neighbour masks: a node holds a clique
-    R, the candidates P adjacent to all of R and the vertices X already
-    tried, and branches only on the candidates that are not neighbours of
-    the pivot, the vertex of P | X with the most neighbours in P. R is
-    reported when P and X are both empty, so each maximal clique appears
-    once. Cliques are sorted tuples, in lexicographic order.
+    vertex: int
+    with_vertex: object
+    without_vertex: object
+
+
+def decide_threshold(g: Graph, j: int):
+    """Decide alpha(G) > j by one branch and bound.
+
+    Returns ("witness", vertices), an independent set of more than j
+    vertices, ascending; ("proof", tree), a tree that
+    :func:`is_threshold_proof` accepts; or None once the search visits
+    more than CLIQUE_COVER_NODE_CAP tree nodes. A node (A, t) claims
+    alpha(G[A]) <= t, and the root is (V, j). The greedy independent set S
+    of ``_greedy_seed`` on G[A] refutes the node when it has more than t
+    vertices. Otherwise the partition search of :func:`clique_cover`,
+    seeded with S, makes the node a leaf when it partitions A into at most
+    t cliques. Otherwise the node branches on the vertex v of A with the
+    most neighbours in A (ties to the lowest), into (A - N[v], t - 1) and
+    then (A - v, t): a refuting set of the first child plus v, or one of
+    the second, refutes the node. So the root tries exactly the greedy set
+    and then the partition that :func:`clique_cover` finds.
     """
     masks = g.neighbor_masks()
-    cliques = []
     nodes = 0
 
-    def expand(r: int, p: int, x: int) -> bool:
+    def decide(avail: int, t: int):
+        # (a refuting independent set as a mask, None) or (None, a proof)
         nonlocal nodes
         nodes += 1
         if nodes > CLIQUE_COVER_NODE_CAP:
-            return False
-        if not p | x:
-            cliques.append(tuple(v for v in range(g.n) if r >> v & 1))
-            return True
-        pivot = max(
-            (u for u in range(g.n) if (p | x) >> u & 1),
-            key=lambda u: (masks[u] & p).bit_count(),
-        )
-        for v in range(g.n):
-            bit = 1 << v
-            if p & ~masks[pivot] & bit:
-                if not expand(r | bit, p & masks[v], x & masks[v]):
-                    return False
-                p &= ~bit
-                x |= bit
-        return True
+            raise BudgetExceeded(f"exceeded node cap {CLIQUE_COVER_NODE_CAP}")
+        seed = _greedy_seed(masks, avail)
+        if seed.bit_count() > t:
+            return seed, None
+        parts = _clique_partition(masks, avail, t, seed)
+        if parts is not None:
+            return None, parts
+        v = max(_members(avail), key=lambda u: ((masks[u] & avail).bit_count(), -u))
+        found, with_vertex = decide(avail & ~(masks[v] | 1 << v), t - 1)
+        if found is not None:
+            return found | 1 << v, None
+        found, without_vertex = decide(avail & ~(1 << v), t)
+        if found is not None:
+            return found, None
+        return None, Branch(v, with_vertex, without_vertex)
 
-    if not expand(0, (1 << g.n) - 1, 0):
+    try:
+        found, proof = decide((1 << g.n) - 1, j)
+    except BudgetExceeded:
         return None
-    return tuple(sorted(cliques))
+    if found is None:
+        return "proof", proof
+    return "witness", tuple(_members(found))
 
 
-def is_fractional_clique_cover(g: Graph, cover, j: int) -> bool:
-    """True when `cover`, a sequence of (clique, weight) pairs, is a
-    fractional clique cover of g of total weight below j + 1.
+def is_threshold_proof(g: Graph, tree, j: int) -> bool:
+    """True when `tree` proves alpha(G) <= j.
 
-    Checks in exact arithmetic, independently of how the cover was found,
-    that every part is a clique of g, that every weight is a rational
-    (int or Fraction) >= 0, that the weights of the parts through each
-    vertex sum to at least 1, and that all weights sum to less than j + 1.
-    Such a cover proves alpha(G) <= j: an independent set S meets each
-    clique K at most once, so |S| <= sum over v in S of the weights through
-    v <= sum of y_K < j + 1. For the gadget family at threshold j it proves
-    that no convex combination is a nonsingular M-matrix only together with
-    the Motzkin-Straus theorem, min over the simplex of pi'(I + C)pi =
-    1/alpha >= 1/j, so det B(pi) = 1/j - pi'(I + C)pi <= 0. A partition
-    (:func:`is_clique_cover`) needs no such theorem.
+    Replays the tree from the root claim alpha(G) <= j in integer vertex
+    masks, independently of :func:`decide_threshold`, in O(nodes n^2). A
+    :class:`Branch` on v at the claim alpha(G[A]) <= t needs v in A, its
+    ``with_vertex`` tree to prove alpha(G[A - N[v]]) <= t - 1 and its
+    ``without_vertex`` tree to prove alpha(G[A - v]) <= t; this holds since
+    alpha(G[A]) is the larger of alpha(G[A - N[v]]) + 1 and
+    alpha(G[A - v]). Every other node is a leaf and needs the clause of
+    :func:`is_clique_cover` on A: at most t parts, each a clique, that hold
+    every vertex of A exactly once and no other vertex. For the gadget
+    family at threshold j, a tree proves that no convex combination is a
+    nonsingular M-matrix only together with the Motzkin-Straus theorem:
+    min over the simplex of pi'(I + C)pi = 1/alpha >= 1/j, so
+    det B(pi) = 1/j - pi'(I + C)pi <= 0. A one-leaf tree, a partition,
+    needs only Cauchy-Schwarz.
     """
-    coverage = [Fraction(0)] * g.n
-    total = Fraction(0)
-    for part, weight in cover:
-        rational = isinstance(weight, (int, Fraction)) and not isinstance(weight, bool)
-        if not rational or weight < 0:
+    masks = g.neighbor_masks()
+
+    def holds(node, avail: int, t: int) -> bool:
+        if not isinstance(node, Branch):
+            return _is_partition(masks, node, avail, t)
+        v = node.vertex
+        if not (0 <= v < g.n and avail >> v & 1):
             return False
-        part = list(part)
-        for a, u in enumerate(part):
-            if not 0 <= u < g.n or not all(g.has_edge(u, w) for w in part[:a]):
-                return False
-            coverage[u] += weight
-        total += weight
-    return all(c >= 1 for c in coverage) and total < j + 1
+        return (holds(node.with_vertex, avail & ~(masks[v] | 1 << v), t - 1)
+                and holds(node.without_vertex, avail & ~(1 << v), t))
+
+    return holds(tree, (1 << g.n) - 1, j)
 
 
 @dataclass(frozen=True)

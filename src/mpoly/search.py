@@ -7,14 +7,16 @@ of some (G, j) all three come down to alpha(G) > j, and each answers such a
 family from G when it can:
 
 * :func:`search_general` answers a gadget family by one gadget decision,
-  whose ladder its docstring sets out; every other family, and a gadget
-  family that the decision leaves to it, takes a multi-start projected
-  ascent on the smallest leading principal minor (an exact M-matrix
-  margin that needs no eigensolves), plus a coarse simplex grid for small
-  families. All starts advance together, so a round costs a fixed few
-  batched numpy calls. The ascent answers FEASIBLE with a re-certified
-  witness and otherwise UNKNOWN, since absence of a found point proves
-  nothing for this problem.
+  the branch and bound :func:`oracle.decide_threshold`, which finds an
+  independent set of more than j vertices (FEASIBLE) or a tree of clique
+  partitions that proves alpha <= j (INFEASIBLE), as its docstring sets
+  out; every other family, and a gadget family that the decision leaves
+  to it, takes a multi-start projected ascent on the smallest leading
+  principal minor (an exact M-matrix margin that needs no eigensolves),
+  plus a coarse simplex grid for small families. All starts advance
+  together, so a round costs a fixed few batched numpy calls. The ascent
+  answers FEASIBLE with a re-certified witness and otherwise UNKNOWN,
+  since absence of a found point proves nothing for this problem.
 * :func:`search_symmetric` solves the symmetric case, which is concave:
   maximize the smallest eigenvalue over the simplex cut by the linear
   Z-sign constraints, using a cutting-plane scheme whose LP value is a
@@ -48,8 +50,8 @@ answer: a point is a FEASIBLE witness only when :func:`mmatrix.certify`
 finds its combination a Z-matrix with consensus YES.
 Every outcome is built by :meth:`_Tracker.outcome` from the tracker that
 counted the evaluations.
-Both LPs, the symmetric cutting planes and the fractional clique cover,
-call the module name ``linprog``.
+The one LP, the symmetric cutting planes, calls the module name
+``linprog``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -69,12 +70,10 @@ from .errors import BudgetExceeded, DimensionMismatch, DomainError, NotSymmetric
 from .linalg import Matrix, Z_SLACK, _encode_scalar, leading_minors_batch
 from .mmatrix import CONSENSUS_YES, certify
 from .oracle import (
-    _clique_partition,
-    _greedy_independent_set,
-    is_clique_cover,
-    is_fractional_clique_cover,
+    Branch,
+    decide_threshold,
+    is_threshold_proof,
     max_independent_set,
-    maximal_cliques,
 )
 from .reduction import (
     convex_combination,
@@ -98,8 +97,6 @@ SPECTRAL_FD_STEP = 1e-7
 EIG_GAP = 1e-8
 # the four line-search steps of one round, as fractions of a start's step
 LINE_SEARCH_SCALES = 0.25 ** np.arange(4)
-# the largest denominator of a rationalised fractional-cover weight
-COVER_DENOM = 1000
 
 
 class SearchStatus(enum.Enum):
@@ -119,14 +116,14 @@ class SearchOutcome:
     # an INFEASIBLE gadget family's partition of the vertices (0-based) into
     # at most j cliques
     clique_cover: tuple | None = None
-    # or its (clique, Fraction weight) pairs of total weight below j + 1, a
-    # proof that rests on the Motzkin-Straus theorem
-    fractional_clique_cover: tuple | None = None
+    # or its deeper tree of oracle.is_threshold_proof, a proof of alpha <= j
+    # that rests on the Motzkin-Straus theorem
+    threshold_proof: Branch | None = None
 
     def to_json_dict(self) -> dict:
-        """The JSON fields; ``clique_cover`` and ``fractional_clique_cover``
-        (1-based vertices, as in graph files, and "p/q" weights) appear only
-        when the outcome carries one."""
+        """The JSON fields; ``clique_cover`` and ``threshold_proof`` (1-based
+        vertices, as in graph files) appear only when the outcome carries
+        one."""
         cert = None if self.certificate is None else self.certificate.to_json_list()
         margins = None
         if self.margins is not None:
@@ -139,13 +136,21 @@ class SearchOutcome:
         }
         if self.clique_cover is not None:
             out["clique_cover"] = [[v + 1 for v in part] for part in self.clique_cover]
-        if self.fractional_clique_cover is not None:
-            out["fractional_clique_cover"] = {
-                "cliques": [[v + 1 for v in c] for c, _ in self.fractional_clique_cover],
-                "weights": [str(w) for _, w in self.fractional_clique_cover],
+        if self.threshold_proof is not None:
+            out["threshold_proof"] = {
+                "tree": _tree_json(self.threshold_proof),
                 "rests_on": "Motzkin-Straus theorem",
             }
         return out
+
+
+def _tree_json(tree):
+    """A threshold proof with 1-based vertices: a leaf is its list of parts,
+    a branch ``{"vertex": v, "with": ..., "without": ...}``."""
+    if isinstance(tree, Branch):
+        return {"vertex": tree.vertex + 1, "with": _tree_json(tree.with_vertex),
+                "without": _tree_json(tree.without_vertex)}
+    return [[v + 1 for v in part] for part in tree]
 
 
 def _validate_family(mats: Sequence[Matrix]) -> int:
@@ -199,7 +204,7 @@ class _Tracker:
         self, status, certificate=None, margins=None, **cover
     ) -> SearchOutcome:
         """The outcome at the evaluations counted so far; `cover` is an
-        INFEASIBLE answer's ``clique_cover`` or ``fractional_clique_cover``."""
+        INFEASIBLE answer's ``clique_cover`` or ``threshold_proof``."""
         return SearchOutcome(status, certificate, self.spent, margins, **cover)
 
 
@@ -270,84 +275,29 @@ def _ascend(value, gradient, w, fw, tracker, settle, rounds=math.inf):
 # -- general (nonsymmetric) M-matrix search ----------------------------------
 
 
-def _exact_independent_set(g):
-    """A maximum independent set of g, or None when
-    :func:`oracle.max_independent_set` refuses it (n > 30, or its node
-    budget runs out)."""
-    try:
-        return max_independent_set(g).witness
-    except (DomainError, BudgetExceeded):
-        return None
-
-
-def _fractional_cover(g) -> tuple | None:
-    """A least-weight fractional clique cover of g as exact (clique, weight)
-    pairs of positive weight, or None when :func:`oracle.maximal_cliques`
-    hits its cap or the LP fails.
-
-    The LP minimises the sum of y_K over the maximal cliques K subject to
-    sum over K containing v of y_K >= 1 for every vertex v, and y >= 0.
-    Each weight is rationalised to the nearest fraction with denominator at
-    most COVER_DENOM; then, vertex by vertex, a vertex still covered less
-    than 1 in exact arithmetic has its shortfall added to the first clique
-    through it, so every vertex ends covered. Whether the total is below
-    j + 1 is left to :func:`oracle.is_fractional_clique_cover`.
-    """
-    cliques = maximal_cliques(g)
-    if cliques is None:
-        return None
-    members = np.zeros((g.n, len(cliques)))
-    for c, clique in enumerate(cliques):
-        members[list(clique), c] = 1.0
-    res = linprog(
-        np.ones(len(cliques)),
-        A_ub=-members,
-        b_ub=-np.ones(g.n),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        return None
-    weights = [Fraction(max(float(y), 0.0)).limit_denominator(COVER_DENOM)
-               for y in res.x]
-    for v in range(g.n):
-        through = [c for c, clique in enumerate(cliques) if v in clique]
-        short = 1 - sum(weights[c] for c in through)
-        if short > 0:
-            weights[through[0]] += short
-    return tuple((c, w) for c, w in zip(cliques, weights) if w)
-
-
 def _gadget_answer(gadgets: Sequence[Matrix]) -> SearchOutcome | None:
     """The gadget decision that :func:`search_general` sets out, with
     ``budget_spent = 0``, when `gadgets` is exactly the gadget family of
     some (G, j); None when the family is not recognised, when
-    :func:`oracle.max_independent_set` refuses G, or when
-    :func:`_certified` rejects the witness. The greedy set is computed once
-    and seeds the partition search; the partition is tried before the exact
-    set, so a partitioned family pays nothing for it.
+    :func:`oracle.decide_threshold` hits its node cap, or when the answer
+    fails its check (:func:`_certified` for a witness,
+    :func:`oracle.is_threshold_proof` for a proof).
     """
     found = instance_graph(gadgets)
     if found is None:
         return None
     g, j = found
     decided = _Tracker()
-    independent = _greedy_independent_set(g)
-    if len(independent) <= j:
-        cover = _clique_partition(g, j, independent)
-        if cover is not None and is_clique_cover(g, cover, j):
-            return decided.outcome(SearchStatus.INFEASIBLE, clique_cover=cover)
-        independent = _exact_independent_set(g)
-        if independent is None:
+    answer = decide_threshold(g, j)
+    if answer is None:
+        return None
+    kind, found = answer
+    if kind == "proof":
+        if not is_threshold_proof(g, found, j):
             return None
-        if len(independent) <= j:
-            cover = _fractional_cover(g)
-            if cover is not None and is_fractional_clique_cover(g, cover, j):
-                return decided.outcome(
-                    SearchStatus.INFEASIBLE, fractional_clique_cover=cover
-                )
-            return decided.outcome(SearchStatus.UNKNOWN)
-    point = witness_from_independent_set(g, independent)
+        field = "threshold_proof" if isinstance(found, Branch) else "clique_cover"
+        return decided.outcome(SearchStatus.INFEASIBLE, **{field: found})
+    point = witness_from_independent_set(g, found)
     report = _certified(gadgets, point)
     if report is None:
         return None
@@ -364,38 +314,33 @@ def search_general(
     from G by the gadget decision, with ``budget_spent = 0``. By the
     reduction det B(pi) = 1/j - pi'(I + C)pi, whose greatest value over
     the simplex is 1/j - 1/alpha (Motzkin-Straus), so some combination is
-    a nonsingular M-matrix iff alpha(G) > j. The decision, in order:
+    a nonsingular M-matrix iff alpha(G) > j. The decision is one call of
+    :func:`oracle.decide_threshold`, a branch and bound whose nodes
+    (A, t) claim alpha(G[A]) <= t:
 
-    1. When the min-degree greedy independent set S of G has more than j
-       vertices, FEASIBLE at the uniform exact point on S, once
-       :func:`_certified` accepts it; a reader can check that its support
-       is independent in O(n^2).
-    2. Otherwise, when :func:`oracle.clique_cover`'s search, seeded with
-       S, finds a partition of the vertices into at most j cliques that
-       :func:`oracle.is_clique_cover` re-checks, INFEASIBLE with the
-       partition in ``clique_cover``. It proves det B(pi) <= 0 for every
-       pi by Cauchy-Schwarz.
-    3. Otherwise, when the exact :func:`oracle.max_independent_set` has
-       more than j vertices, FEASIBLE at the uniform exact point on it,
-       once :func:`_certified` accepts it.
-    4. Otherwise alpha <= j. When an LP over the maximal cliques of G,
-       rationalised and repaired in exact arithmetic, gives a fractional
-       clique cover of total weight below j + 1 that
-       :func:`oracle.is_fractional_clique_cover` re-checks, INFEASIBLE
-       with the (clique, weight) pairs in ``fractional_clique_cover``.
-       This proof rests on the Motzkin-Straus theorem; the partition's
-       does not.
-    5. Otherwise UNKNOWN, with no certificate and no margins: alpha <= j
-       is proven, so no point is a witness, but no certificate that a
-       reader can re-check was found. Petersen at j = 4, whose least
-       fractional clique cover weighs 5 = j + 1, ends here.
+    1. At each node the min-degree greedy independent set S of G[A]
+       refutes the claim when it has more than t vertices. Otherwise the
+       partition search of :func:`oracle.clique_cover`, seeded with S,
+       makes the node a leaf when it splits A into at most t cliques.
+       Otherwise the node branches on the vertex v of A with the most
+       neighbours in A, into (A - N[v], t - 1) and (A - v, t).
+    2. A refuted root gives an independent set of more than j vertices:
+       FEASIBLE at the uniform exact point on it, once :func:`_certified`
+       accepts it. A reader can check that its support is independent in
+       O(n^2). The greedy set of G, the root's, is the witness whenever it
+       is large enough.
+    3. A proven root gives a tree that :func:`oracle.is_threshold_proof`
+       re-checks in integers: INFEASIBLE. A one-leaf tree is a partition
+       of the vertices into at most j cliques, in ``clique_cover``; it
+       proves det B(pi) <= 0 for every pi by Cauchy-Schwarz. A deeper tree
+       goes in ``threshold_proof``; it proves alpha <= j, and det B(pi) <= 0
+       follows by Motzkin-Straus. Petersen at j = 4 takes a 5-node tree.
 
     Every other family takes the search below, which answers FEASIBLE or
-    UNKNOWN, and so does a gadget family in two cases: when
-    :func:`oracle.max_independent_set` refuses G (n > 30, or its node
-    budget runs out), and when :func:`_certified` rejects the witness of
-    step 1 or 3 (the search can still certify another point, for example
-    under a large tolerance).
+    UNKNOWN, and so does a gadget family in two cases: when the tree
+    search visits more than ``oracle.CLIQUE_COVER_NODE_CAP`` nodes, and
+    when a check rejects the answer (the search can still certify another
+    point, for example under a large tolerance).
 
     Merit is the smallest leading principal minor of the combination. The
     vertices, then (for k <= 4) the 1/8 grid, are each evaluated as one
@@ -781,8 +726,11 @@ def minimize_spectral_radius(
         eye = Matrix.identity(n, exact=True)
         found = instance_graph([eye - m for m in mats])
         if found is not None:
-            independent = _exact_independent_set(found[0])
-            if independent is not None:
+            try:
+                independent = max_independent_set(found[0]).witness
+            except (DomainError, BudgetExceeded):
+                pass  # n > 30, or the node budget ran out: take the descent
+            else:
                 point = witness_from_independent_set(found[0], independent)
     if point is None:
         tracker = _descend_spectral(stack, budget, seed, radius=True)
@@ -799,10 +747,11 @@ def hurwitz_search(
     is first answered by the gadget decision of :func:`search_general`,
     which gives the same outcome here. Every gadget combination B(pi) is a
     Z-matrix, and a Z-matrix is positive stable iff it is a nonsingular
-    M-matrix (Berman and Plemmons, Ch. 6), so a cover that proves no B(pi)
-    is a nonsingular M-matrix also proves that no -B(pi) is Hurwitz. A
-    FEASIBLE answer adds a ``spectral_abscissa`` margin, minus the
-    POS_STABLE margin of B(pi).
+    M-matrix (Berman and Plemmons, Ch. 6), so a partition or a threshold
+    tree that proves no B(pi) is a nonsingular M-matrix also proves that
+    no -B(pi) is Hurwitz, Petersen at j = 4 included. A FEASIBLE answer
+    adds a ``spectral_abscissa`` margin, minus the POS_STABLE margin of
+    B(pi).
 
     Every other family, and a gadget family the decision leaves to the
     search, takes a descent on the spectral abscissa that stops after the

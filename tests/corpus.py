@@ -1,4 +1,4 @@
-"""Shared graph corpus and brute-force oracles for the test suite.
+"""Shared graph corpus, brute-force oracles and readers for the test suite.
 
 All randomness is seeded and recorded here so every run sees the same
 corpus. Small-order graphs are enumerated exhaustively up to isomorphism
@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from mpoly import Graph, SimplexPoint
+from mpoly.oracle import Branch
 
 GNP_SEED_BASE = 20260
 GNP_P_CYCLE = (0.2, 0.35, 0.5, 0.65, 0.8)
@@ -22,7 +23,8 @@ GNP_P_CYCLE = (0.2, 0.35, 0.5, 0.65, 0.8)
 
 @lru_cache(maxsize=None)
 def all_graphs_up_to_iso(n: int) -> tuple:
-    """Every simple graph on n vertices, one representative per iso class."""
+    """Every simple graph on n vertices, one representative per iso class:
+    the least edge mask of each class, in increasing order."""
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
     perms = list(permutations(range(n)))
@@ -31,19 +33,21 @@ def all_graphs_up_to_iso(n: int) -> tuple:
         remaps.append(
             [index[tuple(sorted((perm[u], perm[v])))] for (u, v) in pairs]
         )
+    # the masks are visited in increasing order, so the first mask of each
+    # orbit is its least: the canonical form
+    seen = bytearray(1 << len(pairs))
     graphs = []
     for mask in range(1 << len(pairs)):
-        canon = mask
+        if seen[mask]:
+            continue
         for remap in remaps:
             other = 0
             for i in range(len(pairs)):
                 if mask >> i & 1:
                     other |= 1 << remap[i]
-            if other < canon:
-                canon = other
-        if canon == mask:
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            graphs.append(Graph.from_edges(n, edges))
+            seen[other] = 1
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        graphs.append(Graph.from_edges(n, edges))
     return tuple(graphs)
 
 
@@ -139,3 +143,11 @@ def complement(g: Graph) -> Graph:
 
 def empty(n: int) -> Graph:
     return Graph.from_edges(n, [])
+
+
+def tree_from_json(tree):
+    """A threshold proof from its JSON form (1-based), 0-based again."""
+    if isinstance(tree, dict):
+        return Branch(tree["vertex"] - 1, tree_from_json(tree["with"]),
+                      tree_from_json(tree["without"]))
+    return tuple(tuple(v - 1 for v in part) for part in tree)

@@ -389,3 +389,12 @@ class TestTolerance:
         with pytest.raises(ValueError):
             set_tolerance(0.0)
         assert tolerance() == DEFAULT_TOLERANCE
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0])
+    def test_rejects_values_that_are_not_positive_and_finite(self, value):
+        # an infinite tolerance would put every float margin in the
+        # MARGINAL band
+        set_tolerance(1e-6)
+        with pytest.raises(ValueError):
+            set_tolerance(value)
+        assert tolerance() == 1e-6

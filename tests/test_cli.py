@@ -15,6 +15,7 @@ from mpoly import (
     SearchStatus,
     build_instance,
     is_clique_cover,
+    is_threshold_proof,
     max_independent_set,
     nonneg_parts,
     parse_graph,
@@ -258,16 +259,28 @@ class TestSearchCommands:
         cover = [[v - 1 for v in part] for part in payload["clique_cover"]]
         assert is_clique_cover(parse_graph(K3_TEXT), cover, 1)
 
-    def test_search_decided_unknown_exit_two(self, tmp_path):
-        # Petersen at j = 4: alpha = j, but no cover re-checks, so the
-        # gadget decision answers UNKNOWN without evaluating a point
+    def test_search_petersen_j4_infeasible_exit_one(self, tmp_path):
+        # Petersen at j = 4: alpha = j, and no 4 cliques cover it, so the
+        # gadget decision answers from a threshold tree without evaluating
+        # a point
+        g = corpus.petersen()
         path = tmp_path / "petersen4.json"
-        path.write_text(matrices_to_json(build_instance(corpus.petersen(), 4).gadgets))
+        path.write_text(matrices_to_json(build_instance(g, 4).gadgets))
         res = mpoly_cmd("search", str(path), "--json")
-        assert res.returncode == 2
+        assert res.returncode == 1
         payload = json.loads(res.stdout)
-        assert payload == {"status": "UNKNOWN", "certificate": None,
-                           "margins": None, "budget_spent": 0}
+        assert payload["status"] == "INFEASIBLE"
+        assert payload["budget_spent"] == 0
+        assert payload["threshold_proof"]["rests_on"] == "Motzkin-Straus theorem"
+        tree = corpus.tree_from_json(payload["threshold_proof"]["tree"])
+        assert is_threshold_proof(g, tree, 4)
+
+    @pytest.mark.parametrize("gap_tol", ["0", "-1", "nan", "inf"])
+    def test_symmetric_gap_tol_must_be_positive_and_finite(self, workspace, gap_tol):
+        res = mpoly_cmd("search", str(workspace / "good.json"), "--symmetric",
+                        f"--gap-tol={gap_tol}")
+        assert res.returncode == 64
+        assert "--gap-tol" in res.stderr
 
     def test_search_exact_flag_gives_exact_certificate(self, tmp_path):
         path = tmp_path / "family.json"
@@ -360,22 +373,21 @@ class TestPipelineCommand:
         assert payload["alpha"] == 2
 
     def test_c5_j2_agree_infeasible(self, workspace):
-        # alpha = j = 2 with no partition into 2 cliques: the five edges at
-        # weight 1/2 are a fractional clique cover of total 5/2 < 3
+        # alpha = j = 2 with no partition into 2 cliques: branch on vertex
+        # 1; without its closed neighbourhood {3, 4} is one clique, and
+        # without vertex 1 the path 2-3-4-5 is two
         res = mpoly_cmd("pipeline", str(workspace / "c5.col"), "2", "--json")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert payload["verdict"] == "AGREE"
         assert payload["search"]["status"] == "INFEASIBLE"
         assert payload["search"]["budget_spent"] == 0
-        assert payload["search"]["fractional_clique_cover"] == {
-            "cliques": [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]],
-            "weights": ["1/2"] * 5,
+        assert payload["search"]["threshold_proof"] == {
+            "tree": {"vertex": 1, "with": [[3, 4]], "without": [[2, 3], [4, 5]]},
             "rests_on": "Motzkin-Straus theorem",
         }
 
-    def test_petersen_j4_agree_unknown(self, tmp_path):
-        # UNKNOWN with alpha <= j is an honest answer, not a miss
+    def test_petersen_j4_agree_infeasible(self, tmp_path):
         path = tmp_path / "petersen.col"
         path.write_text(write_graph(corpus.petersen()))
         res = mpoly_cmd("pipeline", str(path), "4", "--json")
@@ -383,8 +395,10 @@ class TestPipelineCommand:
         payload = json.loads(res.stdout)
         assert payload["verdict"] == "AGREE"
         assert payload["truly_feasible"] is False
-        assert payload["search"]["status"] == "UNKNOWN"
+        assert payload["search"]["status"] == "INFEASIBLE"
         assert payload["search"]["budget_spent"] == 0
+        tree = corpus.tree_from_json(payload["search"]["threshold_proof"]["tree"])
+        assert is_threshold_proof(corpus.petersen(), tree, 4)
 
     def test_k3_j1_agree(self, workspace):
         res = mpoly_cmd("pipeline", str(workspace / "k3.col"), "1", "--json")
@@ -449,6 +463,15 @@ class TestGlobalFlags:
             env_extra={"MPOLY_TOL": "1000"},
         )
         assert res.returncode == 0
+
+    @pytest.mark.parametrize("flag, env", [
+        (["--tol", "inf"], None), ([], {"MPOLY_TOL": "inf"}),
+        (["--tol", "nan"], None), ([], {"MPOLY_TOL": "-inf"}),
+    ])
+    def test_tolerance_must_be_finite(self, workspace, flag, env):
+        res = mpoly_cmd("certify", str(workspace / "good.json"), "--float", *flag,
+                        env_extra=env)
+        assert res.returncode == 64
 
     def test_bad_env_tolerance(self, workspace):
         res = mpoly_cmd(

@@ -4,8 +4,7 @@ import importlib
 import math
 import pkgutil
 import warnings
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,9 +18,10 @@ from mpoly import (
     SimplexPoint,
     alpha_lower_bound,
     clique_cover,
+    decide_threshold,
     extract_independent_set,
     is_clique_cover,
-    is_fractional_clique_cover,
+    is_threshold_proof,
     max_independent_set,
     motzkin_straus_min,
     quadratic_form,
@@ -29,7 +29,7 @@ from mpoly import (
 )
 import mpoly
 import mpoly.oracle
-from mpoly.oracle import MSolveResult, _forms, _ms_round, maximal_cliques
+from mpoly.oracle import Branch, MSolveResult, _forms, _ms_round
 from mpoly.simplex import sample_simplex_rows
 
 import corpus
@@ -149,70 +149,110 @@ class TestCliqueCover:
         assert not is_clique_cover(corpus.cycle(5), parts, j)
 
 
-def brute_force_maximal_cliques(g: Graph) -> tuple:
-    cliques = []
-    for size in range(1, g.n + 1):
-        for vs in combinations(range(g.n), size):
-            if is_independent(corpus.complement(g), vs) and not any(
-                    all(g.has_edge(u, v) for v in vs)
-                    for u in range(g.n) if u not in vs):
-                cliques.append(vs)
-    return tuple(sorted(cliques))
+def tree_nodes(tree) -> int:
+    if isinstance(tree, Branch):
+        return 1 + tree_nodes(tree.with_vertex) + tree_nodes(tree.without_vertex)
+    return 1
 
 
-class TestMaximalCliques:
-    def test_known_graphs(self):
-        assert maximal_cliques(corpus.cycle(5)) == (
-            (0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
-        assert maximal_cliques(corpus.complete(4)) == ((0, 1, 2, 3),)
-        assert maximal_cliques(corpus.empty(3)) == ((0,), (1,), (2,))
-        assert len(maximal_cliques(corpus.petersen())) == 15
+class TestDecideThreshold:
+    def test_exact_over_small_graphs(self):
+        largest = 0
+        for g in corpus.small_graphs(6):
+            alpha = corpus.exhaustive_alpha(g)
+            for j in range(1, g.n + 1):
+                kind, found = decide_threshold(g, j)
+                if kind == "witness":
+                    assert alpha > j and len(found) > j, (g, j)
+                    assert is_independent(g, found) and list(found) == sorted(found)
+                else:
+                    assert kind == "proof" and alpha <= j, (g, j)
+                    assert is_threshold_proof(g, found, j), (g, j)
+                    largest = max(largest, tree_nodes(found))
+        assert largest == 5
 
-    def test_matches_brute_force(self):
-        for g in corpus.small_graphs(5) + corpus.gnp_samples((6, 7, 8), 30):
-            assert maximal_cliques(g) == brute_force_maximal_cliques(g), g
+    def test_root_is_the_partition_of_clique_cover(self):
+        for g in corpus.small_graphs(5):
+            for j in range(1, g.n + 1):
+                cover = clique_cover(g, j)
+                if cover is not None:
+                    assert decide_threshold(g, j) == ("proof", cover), (g, j)
+
+    def test_odd_holes_and_petersen_take_small_trees(self):
+        # alpha = j and no partition into j cliques
+        cases = [(corpus.cycle(n), n // 2, 3) for n in (5, 7, 9, 11)]
+        cases += [(corpus.complement(corpus.cycle(7)), 2, 3), (corpus.petersen(), 4, 5)]
+        for g, j, nodes in cases:
+            assert clique_cover(g, j) is None
+            kind, tree = decide_threshold(g, j)
+            assert kind == "proof" and tree_nodes(tree) == nodes, (g, j)
+            assert is_threshold_proof(g, tree, j)
+            assert not is_threshold_proof(g, tree, j - 1)
+
+    def test_graphs_past_the_exact_cap_are_decided(self):
+        # 40 vertices, over max_independent_set's n <= 30: a witness of 7
+        # vertices at j = 6, and a 39-node tree at j = 7, so alpha = 7
+        g = corpus.gnp(40, 0.5, 3)
+        kind, witness = decide_threshold(g, 6)
+        assert kind == "witness" and len(witness) == 7
+        assert is_independent(g, witness)
+        kind, tree = decide_threshold(g, 7)
+        assert kind == "proof" and tree_nodes(tree) == 39
+        assert is_threshold_proof(g, tree, 7)
 
     def test_node_cap_gives_none(self, monkeypatch):
+        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 2)
+        assert decide_threshold(corpus.cycle(5), 2) is None
         monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 3)
-        assert maximal_cliques(corpus.cycle(5)) is None
+        assert decide_threshold(corpus.cycle(5), 2)[0] == "proof"
 
 
-HALF = Fraction(1, 2)
+class TestThresholdProof:
+    # on C5 = 0-1-2-3-4-0 at j = 2: branch on 0, then {2, 3} is one clique
+    # at t = 1, and the path 1-2-3-4 is two cliques at t = 2
+    C5_TREE = Branch(0, ((2, 3),), ((1, 2), (3, 4)))
 
-
-class TestFractionalCliqueCover:
-    # every edge of C5 = 0-1-2-3-4-0 at weight 1/2: total 5/2, so alpha <= 2
-    C5_COVER = (((0, 1), HALF), ((1, 2), HALF), ((2, 3), HALF), ((3, 4), HALF),
-                ((4, 0), HALF))
-
-    def test_checker_accepts_a_valid_cover(self):
+    def test_checker_accepts_a_valid_tree(self):
         c5 = corpus.cycle(5)
-        assert is_fractional_clique_cover(c5, self.C5_COVER, 2)
-        assert is_fractional_clique_cover(c5, [[list(c), w] for c, w in self.C5_COVER], 2)
-        # integer weights, a zero weight and an overcovered vertex are fine
-        triangle = [((0, 1, 2), 1), ((0, 1), 0), ((2,), Fraction(1, 3))]
-        assert is_fractional_clique_cover(corpus.complete(3), triangle, 1)
+        assert is_threshold_proof(c5, self.C5_TREE, 2)
+        assert is_threshold_proof(c5, Branch(0, [[3, 2]], [[4, 3], [1, 2]]), 2)
+        # a partition is the one-leaf tree
+        assert is_threshold_proof(c5, ((0, 1), (2, 3), (4,)), 3)
+        assert not is_threshold_proof(c5, ((0, 1), (2, 3), (4,)), 2)
 
     # each mutation breaks one clause of the checker and keeps the others
-    @pytest.mark.parametrize("cover, j", [
-        (C5_COVER + (((0, 2), HALF),), 3),  # 0 and 2 are not adjacent
-        (C5_COVER[:4], 2),  # vertices 0 and 4 covered by 1/2 only
-        (C5_COVER + (((0, 1), -HALF), ((0, 1), HALF)), 2),  # a negative weight
-        (C5_COVER + (((0, 1), HALF),), 2),  # total 3 = j + 1
-        (C5_COVER[:4] + (((4, 0), 0.5),), 2),  # a float weight
-        (C5_COVER + (((4, 5), HALF),), 3),  # vertex 5 is not in the graph
-        (C5_COVER + (((1, 1), HALF),), 3),  # a vertex twice in one part
+    @pytest.mark.parametrize("tree, j", [
+        pytest.param(Branch(0, ((2, 3),), ((1,), (2,), (3, 4))), 2,
+                     id="leaf-with-more-than-t-cliques"),
+        pytest.param(Branch(0, ((2, 3),), ((1, 3), (2, 4))), 2,
+                     id="part-not-a-clique"),
+        pytest.param(Branch(0, ((2, 3), (0,)), ((1, 2), (3, 4))), 3,
+                     id="vertex-outside-A"),
+        pytest.param(Branch(0, ((2, 3),), ((1, 2), (2, 3), (4,))), 3,
+                     id="vertex-covered-twice"),
+        pytest.param(Branch(0, ((2, 3),), ((1, 2), (3,))), 2,
+                     id="vertex-uncovered"),
+        pytest.param(Branch(0, ((2, 3),), ((1, 2), (3, 4), (5,))), 3,
+                     id="vertex-not-in-the-graph"),
+        # 0 is not in A = {1, 2, 3, 4}, but both children would check
+        pytest.param(Branch(0, ((2, 3),), Branch(0, ((2, 3),), ((1, 2), (3, 4)))),
+                     2, id="branch-vertex-outside-A"),
+        # two cliques on {2, 3} hold at t = 2, not at t - 1 = 1
+        pytest.param(Branch(0, ((2,), (3,)), ((1, 2), (3, 4))), 2,
+                     id="with-child-checked-at-t"),
     ])
-    def test_checker_rejects_mutations(self, cover, j):
-        assert not is_fractional_clique_cover(corpus.cycle(5), cover, j)
+    def test_checker_rejects_mutations(self, tree, j):
+        assert not is_threshold_proof(corpus.cycle(5), tree, j)
 
-    def test_petersen_needs_weight_five(self):
-        # Petersen is triangle-free on 10 vertices, so every fractional clique
-        # cover weighs at least 5 = alpha + 1
+    def test_petersen_tree(self):
+        # triangle-free on 10 vertices, so no 4 cliques cover it, and every
+        # fractional clique cover weighs at least 5 = j + 1; the tree
+        # proves alpha <= 4 all the same
         g = corpus.petersen()
-        cover = [(edge, Fraction(1, 3)) for edge in sorted(g.edges)]
-        assert is_fractional_clique_cover(g, cover, 5)
-        assert not is_fractional_clique_cover(g, cover, 4)
+        kind, tree = decide_threshold(g, 4)
+        assert kind == "proof" and isinstance(tree, Branch)
+        assert is_threshold_proof(g, tree, 4)
+        assert not is_threshold_proof(g, tree, 3)
 
 
 class TestMotzkinStrausMin:

@@ -26,7 +26,7 @@ from mpoly import (
     eigenvalues,
     hurwitz_search,
     is_clique_cover,
-    is_fractional_clique_cover,
+    is_threshold_proof,
     max_independent_set,
     minimize_spectral_radius,
     nonneg_parts,
@@ -35,7 +35,7 @@ from mpoly import (
     spectral_radius,
     witness_from_independent_set,
 )
-from mpoly.oracle import _greedy_independent_set
+from mpoly.oracle import Branch, _greedy_seed
 from mpoly.simplex import rationalize
 
 import corpus
@@ -149,7 +149,7 @@ class TestSearchGeneral:
         assert max(z.real for z in eigenvalues(-combo.to_float())) < 0
 
     # the next three take the float copy of an alpha = j family, whose exact
-    # family is answered INFEASIBLE from its fractional clique cover
+    # family is answered INFEASIBLE from its threshold tree
 
     def test_monotone_trace_and_budget(self):
         inst = build_instance(corpus.cycle(5), 2)
@@ -241,6 +241,13 @@ def ascent_only(mats, monkeypatch, **kwargs):
         return search_general(mats, **kwargs)
 
 
+def greedy_set(g: Graph) -> list:
+    """The min-degree greedy independent set that the gadget decision tries
+    first, ascending."""
+    seed = _greedy_seed(g.neighbor_masks(), (1 << g.n) - 1)
+    return [v for v in range(g.n) if seed >> v & 1]
+
+
 def count_descents(monkeypatch) -> list:
     """The calls of the spectral descent from here on, one entry each."""
     calls = []
@@ -272,14 +279,14 @@ class TestGadgetCover:
         payload = out.to_json_dict()
         assert payload["clique_cover"] == [[v + 1 for v in p] for p in out.clique_cover]
 
-    def test_json_has_no_cover_key_without_a_cover(self):
+    def test_json_has_no_cover_key_without_a_cover(self, monkeypatch):
         feasible = search_general(build_instance(corpus.cycle(5), 1).gadgets, seed=0)
-        unknown = search_general(build_instance(corpus.petersen(), 4).gadgets,
-                                 budget=500, seed=0)
+        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 0)
+        unknown = search_general(K3_J2, budget=500, seed=0)
         assert unknown.status is SearchStatus.UNKNOWN
         for out in (feasible, unknown):
             assert out.clique_cover is None
-            assert out.fractional_clique_cover is None
+            assert out.threshold_proof is None
             assert set(out.to_json_dict()) == {
                 "status", "certificate", "margins", "budget_spent"}
 
@@ -307,23 +314,24 @@ class TestGadgetCover:
         assert out.clique_cover is None
         assert out == ascent_only(family, monkeypatch, budget=3000, seed=0)
 
-    def test_node_cap_hit_is_unknown_at_once(self, monkeypatch):
-        # neither cover search finishes, and alpha = 1 <= 2 is proven
+    def test_node_cap_hit_takes_the_ascent(self, monkeypatch):
+        # the tree search stops before its root, so the family is left to
+        # the ascent, which cannot answer INFEASIBLE
         monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 0)
         out = search_general(K3_J2, budget=3000, seed=0)
         assert out.status is SearchStatus.UNKNOWN
-        assert out.budget_spent == 0
+        assert out.budget_spent > 0
+        assert out == ascent_only(K3_J2, monkeypatch, budget=3000, seed=0)
 
     def test_cover_that_fails_the_check_is_not_reported(self, monkeypatch):
-        # the re-check, not the cover search, decides INFEASIBLE: the bad
-        # partition is dropped, and the answer comes from the fractional
-        # cover, the triangle at weight 1
-        monkeypatch.setattr(mpoly.search, "_clique_partition",
-                            lambda g, j, seeds: ((0, 1),))
+        # the re-check, not the tree search, decides INFEASIBLE: a bad
+        # partition is dropped, and the family is left to the ascent
+        monkeypatch.setattr(mpoly.search, "decide_threshold",
+                            lambda g, j: ("proof", ((0, 1),)))
         out = search_general(K3_J2, budget=3000, seed=0)
-        assert out.status is SearchStatus.INFEASIBLE
-        assert out.clique_cover is None
-        assert out.fractional_clique_cover == (((0, 1, 2), 1),)
+        assert out.status is SearchStatus.UNKNOWN
+        assert out.clique_cover is None and out.threshold_proof is None
+        assert out == ascent_only(K3_J2, monkeypatch, budget=3000, seed=0)
 
     def test_exhaustive_agreement_with_the_oracle(self):
         uncovered = []
@@ -336,18 +344,18 @@ class TestGadgetCover:
                     assert out.budget_spent == 0
                     if out.clique_cover is None:
                         uncovered.append((g.n, len(g.edges), j))
-                        assert is_fractional_clique_cover(
-                            g, out.fractional_clique_cover, j), (g, j)
+                        assert isinstance(out.threshold_proof, Branch)
+                        assert is_threshold_proof(g, out.threshold_proof, j), (g, j)
                     else:
                         assert is_clique_cover(g, out.clique_cover, j), (g, j)
-                        assert out.fractional_clique_cover is None
+                        assert out.threshold_proof is None
                 else:
                     assert out.clique_cover is None
-                    assert out.fractional_clique_cover is None
+                    assert out.threshold_proof is None
                     assert alpha > j, (g, j)
         # every graph on at most 5 vertices but C5 is perfect, so it has a
         # partition into alpha cliques; C5 needs 3 cliques and has alpha 2,
-        # and its five edges at weight 1/2 cover it fractionally
+        # and a 3-node tree proves alpha <= 2
         assert uncovered == [(5, 5, 2)]
 
 
@@ -368,50 +376,61 @@ def count_linprog(monkeypatch) -> list:
     return calls
 
 
-class TestFractionalCover:
+def refuse_exact_set(g):
+    """Stands in for max_independent_set when its node budget runs out."""
+    raise BudgetExceeded("node budget")
+
+
+class TestThresholdTree:
     """An exact gadget family with alpha = j and no partition into j cliques
-    is INFEASIBLE from a re-checked fractional clique cover of total weight
-    below j + 1, with no evaluation spent."""
+    is INFEASIBLE from a threshold tree that is_threshold_proof re-checks,
+    with no evaluation spent, no LP solved and no exact maximum independent
+    set computed."""
 
     def test_alpha_equals_j_families_are_infeasible(self, monkeypatch):
         lp_calls = count_linprog(monkeypatch)
+        monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
         for g, j in alpha_equals_j_without_a_partition():
             assert mpoly.clique_cover(g, j) is None
-            lp_calls.clear()
             out = search_general(build_instance(g, j).gadgets, seed=0)
             assert out.status is SearchStatus.INFEASIBLE, (g, j)
             assert out.budget_spent == 0
             assert out.certificate is None and out.clique_cover is None
-            assert is_fractional_clique_cover(g, out.fractional_clique_cover, j)
-            assert len(lp_calls) == 1
-            payload = out.to_json_dict()["fractional_clique_cover"]
+            assert isinstance(out.threshold_proof, Branch)
+            assert is_threshold_proof(g, out.threshold_proof, j)
+            payload = out.to_json_dict()["threshold_proof"]
             assert payload["rests_on"] == "Motzkin-Straus theorem"
-            assert payload["cliques"] == [
-                [v + 1 for v in c] for c, _ in out.fractional_clique_cover]
-            assert [Fraction(w) for w in payload["weights"]] == [
-                w for _, w in out.fractional_clique_cover]
-
-    def test_covered_and_feasible_calls_solve_no_lp(self, monkeypatch):
-        lp_calls = count_linprog(monkeypatch)
-        for g in corpus.small_graphs(4) + [corpus.cycle(5)]:
-            for j in range(1, g.n + 1):
-                if (g.n, j) != (5, 2):
-                    search_general(build_instance(g, j).gadgets, seed=0)
+            assert corpus.tree_from_json(payload["tree"]) == out.threshold_proof
         assert lp_calls == []
 
-    def test_petersen_at_four_is_unknown_at_once(self):
-        # triangle-free on 10 vertices: every fractional clique cover weighs
-        # at least 5 = j + 1, so alpha <= j is proven but not certified
+    def test_gadget_path_solves_no_lp(self, monkeypatch):
+        # every (G, j) on at most 6 vertices, and Petersen, is decided
+        lp_calls = count_linprog(monkeypatch)
+        monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
+        for g in corpus.small_graphs(6) + [corpus.petersen()]:
+            for j in range(1, g.n + 1):
+                gadgets = build_instance(g, j).gadgets
+                for out in (search_general(gadgets, seed=0),
+                            hurwitz_search([-m for m in gadgets], seed=0)):
+                    assert out.status is not SearchStatus.UNKNOWN, (g, j)
+                    assert out.budget_spent == 0
+        assert lp_calls == []
+
+    def test_petersen_at_four_is_infeasible_at_once(self):
+        # triangle-free on 10 vertices, so no 4 cliques cover it, and every
+        # fractional clique cover weighs at least 5 = j + 1; a 5-node tree
+        # proves alpha <= 4
         g = corpus.petersen()
         assert max_independent_set(g).alpha == 4
         out = search_general(build_instance(g, 4).gadgets, budget=500, seed=0)
-        assert out.status is SearchStatus.UNKNOWN
+        assert out.status is SearchStatus.INFEASIBLE
         assert out.budget_spent == 0
-        assert out.fractional_clique_cover is None
+        assert out.clique_cover is None
+        assert is_threshold_proof(g, out.threshold_proof, 4)
         assert set(out.to_json_dict()) == {
-            "status", "certificate", "margins", "budget_spent"}
+            "status", "certificate", "margins", "budget_spent", "threshold_proof"}
 
-    def test_decided_unknown_runs_no_ascent_and_no_descent(self, monkeypatch):
+    def test_petersen_runs_no_ascent_and_no_descent(self, monkeypatch):
         descents = count_descents(monkeypatch)
         perm = [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]
         g = corpus.petersen()
@@ -420,51 +439,33 @@ class TestFractionalCover:
             gadgets = build_instance(graph, 4).gadgets
             out = search_general(gadgets, seed=0)
             negated = hurwitz_search([-m for m in gadgets], seed=0)
-            for res in (out, negated):
-                assert res.status is SearchStatus.UNKNOWN
-                assert res.budget_spent == 0
-                assert res.certificate is None and res.margins is None
-                assert res.clique_cover is None
-                assert res.fractional_clique_cover is None
+            assert negated == out
+            assert out.status is SearchStatus.INFEASIBLE
+            assert out.budget_spent == 0
+            assert out.certificate is None and out.margins is None
+            assert is_threshold_proof(graph, out.threshold_proof, 4)
         assert descents == []
 
-    def test_without_the_checker_alpha_equals_j_is_unknown_at_once(
+    def test_without_the_checker_alpha_equals_j_takes_the_ascent(
             self, monkeypatch):
-        monkeypatch.setattr(mpoly.search, "is_fractional_clique_cover",
-                            lambda g, cover, j: False)
+        monkeypatch.setattr(mpoly.search, "is_threshold_proof",
+                            lambda g, tree, j: False)
         for g, j in alpha_equals_j_without_a_partition():
             gadgets = build_instance(g, j).gadgets
             out = search_general(gadgets, budget=300, seed=0)
             assert out.status is SearchStatus.UNKNOWN, (g, j)
-            assert out.budget_spent == 0
+            assert out == ascent_only(gadgets, monkeypatch, budget=300, seed=0)
             negated = hurwitz_search([-m for m in gadgets], budget=300, seed=0)
-            assert negated == out, (g, j)
+            assert negated.status is SearchStatus.UNKNOWN, (g, j)
+            assert negated.budget_spent > 0
 
-    def test_capped_cliques_are_unknown_at_once(self, monkeypatch):
+    def test_capped_tree_is_unknown_after_the_ascent(self, monkeypatch):
+        # the root of C5 at j = 2 branches, and its children pass the cap
         monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 2)
         gadgets = build_instance(corpus.cycle(5), 2).gadgets
         out = search_general(gadgets, budget=300, seed=0)
         assert out.status is SearchStatus.UNKNOWN
-        assert out.budget_spent == 0
-
-    def test_rounded_lp_weights_are_raised_until_every_vertex_is_covered(
-            self, monkeypatch):
-        # an LP answer just short of 1/2 on every edge of C5 rounds to 49/100;
-        # each short vertex then tops up the first edge through it
-        real = mpoly.search.linprog
-
-        def short(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.x = np.full_like(res.x, 0.49)
-            return res
-
-        monkeypatch.setattr(mpoly.search, "linprog", short)
-        g = corpus.cycle(5)
-        out = search_general(build_instance(g, 2).gadgets, seed=0)
-        assert out.status is SearchStatus.INFEASIBLE
-        cover = out.fractional_clique_cover
-        assert is_fractional_clique_cover(g, cover, 2)
-        assert sum(w for _, w in cover) == Fraction(253, 100)
+        assert out == ascent_only(gadgets, monkeypatch, budget=300, seed=0)
 
     def test_negated_family_is_infeasible(self):
         g = corpus.cycle(5)
@@ -474,6 +475,23 @@ class TestFractionalCover:
         assert out.budget_spent == 0
         assert out == search_general(gadgets, seed=0)
 
+    def test_family_past_thirty_vertices_is_decided(self, monkeypatch):
+        # 40 vertices with alpha = 7, over max_independent_set's n <= 30
+        lp_calls = count_linprog(monkeypatch)
+        monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
+        g = corpus.gnp(40, 0.5, 3)
+        below, at = (build_instance(g, j).gadgets for j in (6, 7))
+        feasible = search_general(below, seed=0)
+        assert feasible.status is SearchStatus.FEASIBLE
+        assert det_closed_form(g, 6, feasible.certificate) > 0
+        infeasible = search_general(at, seed=0)
+        assert infeasible.status is SearchStatus.INFEASIBLE
+        assert is_threshold_proof(g, infeasible.threshold_proof, 7)
+        assert feasible.budget_spent == infeasible.budget_spent == 0
+        assert hurwitz_search([-m for m in below], seed=0).status is SearchStatus.FEASIBLE
+        assert hurwitz_search([-m for m in at], seed=0) == infeasible
+        assert lp_calls == []
+
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 9), p=st.sampled_from(corpus.GNP_P_CYCLE),
            graph_seed=st.integers(0, 2**32 - 1), perm_seed=st.integers(0, 2**32 - 1))
@@ -481,41 +499,41 @@ class TestFractionalCover:
         g = corpus.gnp(n, p, graph_seed)
         perm = [int(v) for v in np.random.default_rng(perm_seed).permutation(n)]
         h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
-        alpha = max_independent_set(g).alpha
+        alpha = corpus.exhaustive_alpha(g)
         for j in range(1, n + 1):
             out = search_general(build_instance(g, j).gadgets, budget=300, seed=0)
             relabelled = search_general(build_instance(h, j).gadgets, budget=300, seed=0)
-            assert relabelled.status is out.status, (g, j, perm)
-            if out.status is SearchStatus.INFEASIBLE:
-                assert alpha <= j
+            assert out.status is relabelled.status, (g, j, perm)
             for res, graph in ((out, g), (relabelled, h)):
-                if res.fractional_clique_cover is not None:
+                assert res.budget_spent == 0
+                if alpha > j:
+                    assert res.status is SearchStatus.FEASIBLE
+                    support = [v for v, w in enumerate(res.certificate.weights) if w]
+                    assert len(support) > j
+                    assert not any(graph.has_edge(u, v)
+                                   for u in support for v in support)
+                else:
                     assert res.status is SearchStatus.INFEASIBLE
-                    assert is_fractional_clique_cover(
-                        graph, res.fractional_clique_cover, j)
+                    proof = res.clique_cover or res.threshold_proof
+                    assert is_threshold_proof(graph, proof, j)
 
 
 def greedy_feasible_cases():
     """(g, j) over corpus.small_graphs() and every j where the greedy
     independent set has more than j vertices."""
     return [(g, j) for g in corpus.small_graphs() for j in range(1, g.n + 1)
-            if len(_greedy_independent_set(g)) > j]
+            if len(greedy_set(g)) > j]
 
 
 SIX_VERTEX_GREEDY_MISS = Graph.from_edges(
     6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (4, 5)])
 
 
-def refuse_exact_set(g):
-    """Stands in for max_independent_set when its node budget runs out."""
-    raise BudgetExceeded("node budget")
-
-
 class TestGadgetWitness:
     """An exact gadget family whose greedy independent set S has |S| > j is
     FEASIBLE at the uniform point on S, with no evaluation spent; one with
-    alpha > j >= |S| is FEASIBLE at the uniform point on an exact maximum
-    independent set."""
+    alpha > j >= |S| is FEASIBLE at the uniform point on the independent set
+    of more than j vertices that a branch of the threshold tree finds."""
 
     def test_every_small_graph_where_the_greedy_set_exceeds_j(self):
         cases = greedy_feasible_cases()
@@ -541,10 +559,10 @@ class TestGadgetWitness:
 
     def test_small_greedy_set_takes_the_exact_set(self):
         # min-degree greedy takes 0, which leaves the triangle {2, 4, 5}, so
-        # its set is {0, 2}; alpha = 3 at {1, 3, 5}, and the exact set is
-        # the witness once no partition into 2 cliques is found
+        # its set is {0, 2}; alpha = 3 at {1, 3, 5} only, and the tree
+        # branches to it once no partition into 2 cliques is found
         g = SIX_VERTEX_GREEDY_MISS
-        assert len(_greedy_independent_set(g)) == 2
+        assert greedy_set(g) == [0, 2]
         assert max_independent_set(g).alpha == 3
         inst = build_instance(g, 2)
         out = search_general(inst.gadgets, seed=0)
@@ -555,11 +573,12 @@ class TestGadgetWitness:
         assert report.is_z and report.consensus == "YES"
         assert out.margins == dict(report.margins)
 
-    def test_refused_exact_set_takes_the_ascent(self, monkeypatch):
-        # the ascent finds a witness for this family on its own
+    def test_capped_tree_takes_the_ascent(self, monkeypatch):
+        # the tree stops at the children of its root, and the ascent finds a
+        # witness for this family on its own
         g = SIX_VERTEX_GREEDY_MISS
         gadgets = build_instance(g, 2).gadgets
-        monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
+        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 1)
         out = search_general(gadgets, seed=0)
         assert out == ascent_only(gadgets, monkeypatch, seed=0)
         assert out.status is SearchStatus.FEASIBLE
@@ -811,20 +830,18 @@ class TestHurwitzSearch:
                 elif out.status is SearchStatus.INFEASIBLE:
                     assert alpha <= j and out.budget_spent == 0, (g, j)
                     if out.clique_cover is None:
-                        assert is_fractional_clique_cover(
-                            g, out.fractional_clique_cover, j), (g, j)
+                        assert is_threshold_proof(g, out.threshold_proof, j), (g, j)
                     else:
                         assert is_clique_cover(g, out.clique_cover, j), (g, j)
                 else:
                     unknown.append((g.n, len(g.edges), j))
         # C5 at j = 2, with alpha = j and no partition into 2 cliques, is
-        # answered from its fractional clique cover
+        # answered from its threshold tree
         assert unknown == []
 
     def test_no_infeasible_without_the_cover_check(self, monkeypatch):
-        monkeypatch.setattr(mpoly.search, "is_clique_cover", lambda g, parts, j: False)
-        monkeypatch.setattr(mpoly.search, "is_fractional_clique_cover",
-                            lambda g, cover, j: False)
+        monkeypatch.setattr(mpoly.search, "is_threshold_proof",
+                            lambda g, tree, j: False)
         for g, j, out in hurwitz_over(corpus.small_graphs(4)):
             assert out.status is not SearchStatus.INFEASIBLE, (g, j)
 
