@@ -3,10 +3,11 @@
 Subcommands: certify, reduce, combine, alpha, ms-solve, search, radius-min,
 hurwitz-search, pipeline. Structured output is JSON (--json); the default is
 a short human summary. Exit codes: searches use 0 FEASIBLE, 1 INFEASIBLE,
-2 UNKNOWN; certify uses 0 YES, 1 NO, 2 MARGINAL or DISAGREE; 64 usage
-error, 65 malformed input; pipeline reserves 70 for a soundness violation
-(search said FEASIBLE but the oracle says the instance is infeasible, or
-INFEASIBLE but the oracle says it is feasible).
+2 UNKNOWN; certify uses 0 YES, 1 NO, 2 MARGINAL or DISAGREE; alpha uses 2
+when its --node-budget runs out; 64 usage error (an -o path that cannot be
+written included), 65 malformed input; pipeline reserves 70 for a soundness
+violation (search said FEASIBLE but the oracle says the instance is
+infeasible, or INFEASIBLE but the oracle says it is feasible).
 
 Seeds default to 0, never to entropy; identical arguments give byte
 identical JSON output. The MPOLY_TOL environment variable overrides the
@@ -23,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import config
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .linalg import Matrix, matrices_from_json, matrices_to_json
 from .mmatrix import certify
 from .oracle import (
@@ -69,6 +70,18 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_output(path: str | None, text: str) -> None:
+    """Write `text` to the file `path` (-o), or to stdout without one."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_matrices(
@@ -153,12 +166,7 @@ def cmd_reduce(args) -> int:
     if not 1 <= args.j <= graph.n:
         raise _UsageError(f"j must be in [1, {graph.n}], got {args.j}")
     instance = build_instance(graph, args.j)
-    text = matrices_to_json(instance.gadgets)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, matrices_to_json(instance.gadgets))
     return 0
 
 
@@ -166,12 +174,7 @@ def cmd_combine(args) -> int:
     mats = _load_matrices(args.matrices, args.backing)
     point = _parse_weights(args.weights, len(mats))
     combo = convex_combination(mats, point)
-    payload = combo.to_json_dict()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(_dump(payload) + "\n")
-        return 0
-    print(_dump(payload))
+    _write_output(args.output, _dump(combo.to_json_dict()) + "\n")
     return 0
 
 
@@ -496,6 +499,10 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"mpoly: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except BudgetExceeded as exc:
+        # only alpha's --node-budget can run out: no answer, as with UNKNOWN
+        print(f"mpoly: {exc}", file=sys.stderr)
+        return 2
     except DomainError as exc:
         # argument values are validated before work starts, so a domain
         # failure here means the input data violated an operation contract

@@ -107,13 +107,17 @@ def clique_cover(g: Graph, j: int) -> tuple[tuple[int, ...], ...] | None:
     the rest: a vertex that no part can take opens a new one, and otherwise
     the vertex with the fewest parts to join is tried in each of them, then
     in a new part. None also when no partition exists or when the search
-    visits more than CLIQUE_COVER_NODE_CAP nodes. Parts are sorted tuples,
-    ordered by their smallest vertex. Check a result with
+    visits more than CLIQUE_COVER_NODE_CAP nodes or recurses past Python's
+    recursion limit (one level per placed vertex). Parts are sorted
+    tuples, ordered by their smallest vertex. Check a result with
     :func:`is_clique_cover`.
     """
     masks = g.neighbor_masks()
     full = (1 << g.n) - 1
-    return _clique_partition(masks, full, j, _greedy_seed(masks, full))
+    try:
+        return _clique_partition(masks, full, j, _greedy_seed(masks, full))
+    except RecursionError:
+        return None
 
 
 def _clique_partition(
@@ -233,16 +237,17 @@ def decide_threshold(g: Graph, j: int):
     Returns ("witness", vertices), an independent set of more than j
     vertices, ascending; ("proof", tree), a tree that
     :func:`is_threshold_proof` accepts; or None once the search visits
-    more than CLIQUE_COVER_NODE_CAP tree nodes. A node (A, t) claims
-    alpha(G[A]) <= t, and the root is (V, j). The greedy independent set S
-    of ``_greedy_seed`` on G[A] refutes the node when it has more than t
-    vertices. Otherwise the partition search of :func:`clique_cover`,
-    seeded with S, makes the node a leaf when it partitions A into at most
-    t cliques. Otherwise the node branches on the vertex v of A with the
-    most neighbours in A (ties to the lowest), into (A - N[v], t - 1) and
-    then (A - v, t): a refuting set of the first child plus v, or one of
-    the second, refutes the node. So the root tries exactly the greedy set
-    and then the partition that :func:`clique_cover` finds.
+    more than CLIQUE_COVER_NODE_CAP tree nodes or recurses past Python's
+    recursion limit. A node (A, t) claims alpha(G[A]) <= t, and the root
+    is (V, j). The greedy independent set S of ``_greedy_seed`` on G[A]
+    refutes the node when it has more than t vertices. Otherwise the
+    partition search of :func:`clique_cover`, seeded with S, makes the
+    node a leaf when it partitions A into at most t cliques. Otherwise the
+    node branches on the vertex v of A with the most neighbours in A (ties
+    to the lowest), into (A - N[v], t - 1) and then (A - v, t): a refuting
+    set of the first child plus v, or one of the second, refutes the node.
+    So the root tries exactly the greedy set and then the partition that
+    :func:`clique_cover` finds.
     """
     masks = g.neighbor_masks()
     nodes = 0
@@ -270,7 +275,7 @@ def decide_threshold(g: Graph, j: int):
 
     try:
         found, proof = decide((1 << g.n) - 1, j)
-    except BudgetExceeded:
+    except (BudgetExceeded, RecursionError):
         return None
     if found is None:
         return "proof", proof

@@ -28,7 +28,7 @@ family from G when it can:
   maximum independent set, where the rank-2 radius is least. Other
   families descend on the spectral radius (Perron left/right eigenvector
   gradient when the radius is simple, finite differences otherwise; one
-  eig plus one shifted solve per round).
+  eig plus one inverse of its eigenvector matrices per round).
 * :func:`hurwitz_search` answers a negated gadget family by the gadget
   decision of :func:`search_general` (a Z-matrix is positive stable iff
   it is a nonsingular M-matrix). Other families descend on the spectral
@@ -351,10 +351,13 @@ def search_general(
     :func:`_certified` (in exact arithmetic, at its :func:`rationalize`
     snap, when the inputs are rational) before FEASIBLE is reported, in
     pass order, and lowest start index first within a round. Each batch is
-    cut to the budget left, so ``budget_spent <= budget``.
+    cut to the budget left, so ``budget_spent <= budget``. Raises
+    DomainError for a budget below 1.
     """
     mats = list(matrices)
     _validate_family(mats)
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
     k = len(mats)
     exact_inputs = all(m.is_exact for m in mats)
     if exact_inputs:
@@ -570,47 +573,26 @@ def _spectral_gradients(stack: np.ndarray, points: np.ndarray, radius: bool):
     """(values, analytic gradients, smooth?) at each row of `points`.
 
     A simple eigenvalue lam with right vector v and left vector u has
-    d lam / d w_m = u' A_m v / u'v; its real part is the gradient of the
-    radius or abscissa. One batched eig gives lam and v; u is one step of
-    shifted inverse iteration started from v, a batched solve of
-    (A' - (lam + eta) I) u = v over the smooth rows, scaled to
-    max |u_i| = 1. The shift eta is 1e-9 times the smaller of max |A_ij|
-    and the distance from lam to the nearest other eigenvalue, so that the
-    other left vectors stay out of u on badly balanced matrices, whose
-    eigenvalue gaps can be far below max |A_ij|. A row's gradient holds
-    only where its value is smooth, lam + eta differs from lam, u is
-    finite and nonzero, and |u'v| >= 1e-10. No residual test is made: for
-    a backward-stable solve ||u'A - lam u'||_inf is about eta <= 1e-9
-    max |A_ij| whenever lam is an eigenvalue to working precision, so such
-    a test could not fail. If the solve finds a singular matrix, no row holds.
+    d lam / d w_m = u' A_m v when u'v = 1; its real part is the gradient of
+    the radius or abscissa. One batched eig gives lam and V, the right
+    vectors, and row `top` of V^-1 is that u. A row's gradient holds only
+    where its value is smooth and u is finite and nonzero with
+    max |u_i| <= 1e10, that is |u'v| >= 1e-10 max |u_i| for the unit v;
+    if inv finds a singular V, no row holds.
     """
-    combos = np.tensordot(points, stack, axes=(1, 0))
-    rows = np.arange(len(points))
-    vals, right = np.linalg.eig(combos)
+    vals, right = np.linalg.eig(np.tensordot(points, stack, axes=(1, 0)))
     top, value, smooth = _top_eigenvalues(vals, radius)
-    lam = vals[rows, top]
-    v = right[rows, :, top]
-    scale = np.abs(combos).max(axis=(1, 2))
-    dist = np.abs(vals - lam[:, None])
-    dist[rows, top] = scale  # so the minimum is at most max |A_ij|
-    sigma = lam + 1e-9 * dist.min(axis=1)
-    solved = smooth & (sigma != lam)  # a shift lost to rounding is no shift
-    shifted = combos[solved].transpose(0, 2, 1) - (
-        sigma[solved, None, None] * np.eye(combos.shape[1])
-    )
+    v = right[np.arange(len(points)), :, top]
     u = np.zeros_like(v)
     try:
-        u[solved] = np.linalg.solve(shifted, v[solved, :, None])[..., 0]
+        inverse = np.linalg.inv(right[smooth])
+        u[smooth] = inverse[np.arange(len(inverse)), top[smooth]]
     except np.linalg.LinAlgError:
-        pass
+        smooth[:] = False
     size = np.abs(u).max(axis=1)
-    usable = np.isfinite(size) & (size > 0.0)
-    u[~usable] = 0.0
-    u[usable] /= size[usable, None]
-    denom = (u * v).sum(axis=1)
-    smooth &= usable & (np.abs(denom) >= 1e-10)
-    denom[~smooth] = 1.0
-    grads = np.einsum("si,mij,sj->sm", u, stack, v) / denom[:, None]
+    smooth &= np.isfinite(size) & (size > 0.0) & (size <= 1e10)
+    u[~smooth] = 0.0
+    grads = np.einsum("si,mij,sj->sm", u, stack, v)
     return value, grads.real, smooth
 
 
@@ -629,8 +611,9 @@ def _descend_spectral(
     rounds of :func:`_ascend` on the negated value. The drawn starts are
     scored in one batch first, as many as the first round can move. A
     round's gradient is analytic, from one batched eig and one batched
-    solve, uncounted since every point it sees is already scored; a row
-    whose analytic gradient is gated off takes one eigvals batch of
+    inverse of its eigenvector matrices (:func:`_spectral_gradients`),
+    uncounted since every point it sees is already scored; a row whose
+    analytic gradient is gated off takes one eigvals batch of
     forward-difference probes instead. Every batch fits in the budget left,
     so ``budget_spent <= budget`` for any budget >= 1 (the uniform point is
     always evaluated, so a best exists). The descent stops once the best

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DomainError
 
 FLOAT_SUM_SLACK = 1e-12
+RATIONALIZE_SCALE = 10**6
 
 
 class SimplexPoint:
@@ -104,9 +105,10 @@ class SimplexPoint:
         return f"SimplexPoint({kind}, {self._weights!r})"
 
 
-def rationalize(weights: Sequence[float], scale: int = 10**6) -> SimplexPoint:
-    """Snap float weights to nearby rationals with a common denominator."""
-    ints = [max(0, round(float(w) * scale)) for w in weights]
+def rationalize(weights: Sequence[float]) -> SimplexPoint:
+    """Snap float weights to nearby rationals: each is rounded to a multiple
+    of 1 / RATIONALIZE_SCALE, then all are divided by their sum."""
+    ints = [max(0, round(float(w) * RATIONALIZE_SCALE)) for w in weights]
     total = sum(ints)
     if total == 0:
         ints[int(np.argmax(np.asarray(weights)))] = 1

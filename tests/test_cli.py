@@ -131,6 +131,13 @@ class TestReduceCommand:
         res = mpoly_cmd("reduce", str(workspace / "c5.col"), "6")
         assert res.returncode == 64
 
+    def test_unwritable_output_usage_error(self, workspace):
+        out = workspace / "missing" / "inst.json"
+        res = mpoly_cmd("reduce", str(workspace / "c5.col"), "1", "-o", str(out))
+        assert res.returncode == 64
+        assert res.stderr.startswith(f"mpoly: cannot write {out}")
+        assert "Traceback" not in res.stderr
+
 
 class TestCombineCommand:
     def test_round_trip_through_search_input(self, workspace, tmp_path):
@@ -159,6 +166,16 @@ class TestCombineCommand:
         res = mpoly_cmd("combine", str(inst), "--weights", "1,1,1,1,1")
         assert res.returncode == 64
 
+    def test_unwritable_output_usage_error(self, workspace, tmp_path):
+        inst = tmp_path / "inst.json"
+        mpoly_cmd("reduce", str(workspace / "c5.col"), "1", "-o", str(inst))
+        out = tmp_path / "missing" / "combo.json"
+        res = mpoly_cmd("combine", str(inst), "--weights", "1/5,1/5,1/5,1/5,1/5",
+                        "-o", str(out))
+        assert res.returncode == 64
+        assert res.stderr.startswith(f"mpoly: cannot write {out}")
+        assert "Traceback" not in res.stderr
+
 
 class TestOracleCommands:
     def test_alpha(self, workspace):
@@ -167,6 +184,14 @@ class TestOracleCommands:
         payload = json.loads(res.stdout)
         assert payload["alpha"] == 2
         assert len(payload["witness"]) == 2
+
+    def test_alpha_node_budget_exhausted_exit_two(self, tmp_path):
+        path = tmp_path / "c8.col"
+        path.write_text(write_graph(corpus.cycle(8)))
+        res = mpoly_cmd("alpha", str(path), "--node-budget", "3", "--json")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "mpoly: exceeded node budget 3\n"
 
     def test_ms_solve_deterministic(self, workspace):
         args = (

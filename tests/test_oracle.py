@@ -3,6 +3,7 @@
 import importlib
 import math
 import pkgutil
+import sys
 import warnings
 from itertools import product
 
@@ -205,6 +206,19 @@ class TestDecideThreshold:
         assert decide_threshold(corpus.cycle(5), 2) is None
         monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 3)
         assert decide_threshold(corpus.cycle(5), 2)[0] == "proof"
+
+    def test_recursion_limit_gives_none(self):
+        # the partition search recurses once per placed vertex, so past the
+        # recursion limit both searches are undecided instead of raising
+        g = corpus.complete(400)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            cover, decided = clique_cover(g, 1), decide_threshold(g, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cover is None and decided is None
+        assert decide_threshold(g, 1) == ("proof", (tuple(range(400)),))
 
 
 class TestThresholdProof:

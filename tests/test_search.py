@@ -961,6 +961,19 @@ class TestSpectralDescent:
         assert smooth.all()
         self._assert_matches_forward_differences(stack, points, False, values, grads)
 
+    def test_simple_top_beside_a_jordan_block_keeps_its_gradient(self):
+        # at the first vertex, diag(3) + [[1, 1], [0, 1]], the top eigenvalue
+        # 3 is simple while the eigenvector matrix is nearly singular
+        jordan = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        stack = np.stack([jordan, np.diag([1.0, 2.0, 0.5])])
+        points = np.array([[1.0, 0.0], [0.5, 0.5], [0.9, 0.1]])
+        for radius in (True, False):
+            values, grads, smooth = self._gradients_quietly(stack, points, radius)
+            assert smooth.all()
+            self._assert_matches_forward_differences(
+                stack, points, radius, values, grads
+            )
+
     def test_doubled_top_eigenvalue_falls_back_and_keeps_budget(self):
         # above w0 = w1 the top eigenvalue w0 + 2 w1 is doubled, so those rows
         # take forward differences; nothing is Hurwitz, so every budget is used
@@ -983,6 +996,8 @@ class TestSpectralDescent:
                                      budget=budget)
         with pytest.raises(DomainError):
             hurwitz_search([-Matrix.identity(2)], budget=budget)
+        with pytest.raises(DomainError):
+            search_general([Matrix.identity(2)], budget=budget)
 
     def test_deterministic_given_seed(self):
         parts = [p.to_float() for p in nonneg_parts(corpus.cycle(6), 2)]
