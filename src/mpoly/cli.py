@@ -5,18 +5,21 @@ hurwitz-search, pipeline. Structured output is JSON (--json); the default is
 a short human summary. Exit codes: searches use 0 FEASIBLE, 1 INFEASIBLE,
 2 UNKNOWN; certify uses 0 YES, 1 NO, 2 MARGINAL or DISAGREE; alpha uses 2
 when its --node-budget runs out; 64 usage error (an -o path that cannot be
-written included), 65 malformed input; pipeline reserves 70 for a soundness
+written and a negative --seed included), 65 malformed input (an exact entry
+beyond the float64 range included); pipeline reserves 70 for a soundness
 violation (search said FEASIBLE but the oracle says the instance is
 infeasible, or INFEASIBLE but the oracle says it is feasible).
 
 Seeds default to 0, never to entropy; identical arguments give byte
 identical JSON output. The MPOLY_TOL environment variable overrides the
-default tolerance and --tol overrides both.
+default tolerance and --tol overrides both; :func:`main` runs in a fresh
+context, so it neither sees nor keeps its caller's tolerance setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import math
 import os
@@ -54,10 +57,6 @@ class _UsageError(Exception):
     pass
 
 
-class _InputError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -69,7 +68,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise DomainError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -99,10 +98,10 @@ def _load_matrices(
             payload = json.loads(text, parse_float=Fraction)
             objs = [payload] if single else payload
             mats = [Matrix.exact(obj["entries"]) for obj in objs]
-    except (DomainError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-    if backing == "float":
-        mats = [m.to_float() for m in mats]
+        if backing == "float":
+            mats = [m.to_float() for m in mats]
+    except ValueError as exc:  # DomainError included
+        raise DomainError(f"{path}: {exc}") from exc
     return mats
 
 
@@ -111,7 +110,7 @@ def _load_graph(path: str):
     try:
         return parse_graph(text)
     except DomainError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def _dump(obj) -> str:
@@ -348,6 +347,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0.0 and math.isfinite(value)):
@@ -357,11 +363,11 @@ def _positive_float(text: str) -> float:
 
 def _add_common(sub, budget=False, seed=False, backing=False):
     sub.add_argument("--json", action="store_true", help="emit JSON output")
-    sub.add_argument("--tol", type=float, default=None, help="global tolerance")
+    sub.add_argument("--tol", type=_positive_float, default=None, help="global tolerance")
     if budget:
         sub.add_argument("--budget", type=_positive_int, default=50_000)
     if seed:
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_nonnegative_int, default=0)
     if backing:
         group = sub.add_mutually_exclusive_group()
         group.add_argument(
@@ -378,7 +384,6 @@ def _add_common(sub, budget=False, seed=False, backing=False):
             const="float",
             help="convert input entries to float64",
         )
-        sub.set_defaults(backing=None)
 
 
 def build_parser() -> _Parser:
@@ -475,39 +480,28 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return contextvars.Context().run(_main, argv)
+
+
+def _main(argv) -> int:
+    args = build_parser().parse_args(argv)
     env_tol = os.environ.get("MPOLY_TOL")
-    config.reset_tolerance()
     try:
         if env_tol is not None:
             config.set_tolerance(float(env_tol))
     except ValueError:
         print(f"mpoly: invalid MPOLY_TOL {env_tol!r}", file=sys.stderr)
         return EX_USAGE
-    if getattr(args, "tol", None) is not None:
-        try:
-            config.set_tolerance(args.tol)
-        except ValueError as exc:
-            print(f"mpoly: {exc}", file=sys.stderr)
-            return EX_USAGE
+    if args.tol is not None:
+        config.set_tolerance(args.tol)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"mpoly: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except _InputError as exc:
-        print(f"mpoly: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except BudgetExceeded as exc:
-        # only alpha's --node-budget can run out: no answer, as with UNKNOWN
-        print(f"mpoly: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (_UsageError, BudgetExceeded, DomainError) as exc:
+        # only alpha's --node-budget can run out (no answer, as with UNKNOWN);
         # argument values are validated before work starts, so a domain
-        # failure here means the input data violated an operation contract
+        # failure means malformed input data or an unreadable input file
         print(f"mpoly: {exc}", file=sys.stderr)
-        return EX_DATAERR
+        return {_UsageError: EX_USAGE, BudgetExceeded: 2}.get(type(exc), EX_DATAERR)
 
 
 def entry() -> None:

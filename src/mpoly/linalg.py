@@ -8,7 +8,9 @@ Schur complements run in both backings; eigenvalue-based quantities are
 float only. The exact path runs fraction-free (Bareiss) elimination on the
 numerators themselves, so sign decisions at the determinant boundary are
 unambiguous; float decisions near a boundary are reported as MARGINAL
-instead.
+instead. Library code reads exact matrices through ``_num`` and ``_den``
+only; :meth:`Matrix.rows` and :meth:`Matrix.entry` are Fraction views for
+callers.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from multiple threads.
@@ -135,8 +137,10 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, exact: bool = False) -> "Matrix":
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls.exact(rows) if exact else cls.float64(rows)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        if exact and n >= 1:
+            return cls._from_numerators(rows, 1, reduced=True)
+        return cls.float64(rows)  # rejects n < 1 in either backing
 
     @property
     def is_exact(self) -> bool:
@@ -157,7 +161,8 @@ class Matrix:
     def as_array(self) -> np.ndarray:
         """Float64 ndarray of the entries (read-only for float backing).
 
-        Exact entries are correctly rounded, as ``float(Fraction)`` rounds them.
+        Exact entries are correctly rounded, as ``float(Fraction)`` rounds them;
+        an exact entry beyond the float64 range raises DomainError.
         """
         if not self.is_exact:
             return self._array
@@ -166,7 +171,10 @@ class Matrix:
         if den < limit and all(-limit < x < limit for r in num for x in r):
             # both operands are exact doubles, and IEEE division rounds correctly
             return np.array(num, dtype=np.float64) / den
-        return np.array([[x / den for x in r] for r in num], dtype=np.float64)
+        try:
+            return np.array([[x / den for x in r] for r in num], dtype=np.float64)
+        except OverflowError as exc:
+            raise DomainError("exact entry beyond the float64 range") from exc
 
     def to_float(self) -> "Matrix":
         """Float64 copy; the identity for matrices already in float backing."""
@@ -233,7 +241,7 @@ class Matrix:
 
     def to_json_dict(self) -> dict:
         if self.is_exact:
-            entries = [[str(x) for x in row] for row in self.rows()]
+            entries = [[str(Fraction(x, self._den)) for x in r] for r in self._num]
         else:
             entries = [[float(x) for x in row] for row in self._array]
         return {"n": self.n, "entries": entries, "exact": self.is_exact}

@@ -252,10 +252,11 @@ def certify(m: Matrix) -> CertificationReport:
     The float copy, the Z test and the eigenvalues are computed once and
     shared. Per-condition failures (RHO_SPLIT on a non-Z input, an
     eigenvalue iteration that does not converge) are collected into the
-    report instead of raising.
+    report instead of raising; the float copy comes first, so an exact
+    entry beyond the float64 range raises DomainError.
     """
     is_z = is_z_matrix(m)
-    found = {"E17": check_e17(m), "N38": check_n38(m)}
+    found: dict[str, Verdict] = {}
     errors: dict[str, str] = {}
     try:
         arr, scale, eigs = _spectrum(m)
@@ -266,6 +267,7 @@ def certify(m: Matrix) -> CertificationReport:
         found["POS_STABLE"] = _positive_stable(scale, eigs)
         if is_z:
             found["RHO_SPLIT"] = _rho_split(arr, scale, eigs)
+    found.update(E17=check_e17(m), N38=check_n38(m))
     if not is_z:
         errors["RHO_SPLIT"] = _NOT_Z
     verdicts = {name: found[name] for name in CONDITIONS if name in found}

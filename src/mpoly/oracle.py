@@ -385,7 +385,7 @@ def motzkin_straus_min(
     if iters < 1:
         raise DomainError("iters must be at least 1")
 
-    a = np.asarray(g.adjacency_rows(exact=False), dtype=np.float64) + np.eye(n)
+    a = np.asarray(g.adjacency_rows(), dtype=np.float64) + np.eye(n)
     lip = 2.0 * float(np.linalg.eigvalsh(a).max())
     step = 1.0 / max(lip, 2.0)
 

@@ -53,13 +53,10 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def adjacency_rows(self, exact: bool = True):
-        one = Fraction(1) if exact else 1.0
-        zero = Fraction(0) if exact else 0.0
-        rows = [[zero] * self.n for _ in range(self.n)]
+    def adjacency_rows(self) -> list[list[int]]:
+        rows = [[0] * self.n for _ in range(self.n)]
         for u, v in self.edges:
-            rows[u][v] = one
-            rows[v][u] = one
+            rows[u][v] = rows[v][u] = 1
         return rows
 
     def neighbor_masks(self) -> list[int]:
@@ -165,23 +162,23 @@ def build_instance(g: Graph, j: int) -> ReductionInstance:
 def instance_graph(matrices: Sequence[Matrix]) -> tuple[Graph, int] | None:
     """(G, j) when `matrices` is exactly ``build_instance(G, j).gadgets``.
 
-    Reads j from the corner 1/j of the first matrix and G from the last
-    column of each, where matrix i holds -(e_i + c_i), then rebuilds the
-    family and compares it with ``==``, so any other family (float backing,
-    a perturbed entry, a corner that is not 1/j, k != n) gives None.
+    Reads j as the denominator of the first matrix, whose corner numerator
+    must be 1, and G from the last column of each, where matrix i holds
+    -(e_i + c_i), then rebuilds the family and compares it with ``==``, so
+    any other family (float backing, a perturbed entry, a corner that is
+    not 1/j, k != n) gives None.
     """
     mats = list(matrices)
     n = len(mats)
     if not n or not all(m.is_exact and m.n == n + 1 for m in mats):
         return None
-    corner = mats[0].entry(n, n)
-    if corner.numerator != 1 or not 1 <= corner.denominator <= n:
+    j = mats[0]._den
+    if mats[0]._num[n][n] != 1 or not 1 <= j <= n:
         return None
     g = Graph.from_edges(
         n, [(i, r) for i, m in enumerate(mats) for r in range(i + 1, n)
-            if m.entry(r, n) == -1]
+            if m._num[r][n] == -m._den]
     )
-    j = corner.denominator
     if build_instance(g, j).gadgets != tuple(mats):
         return None
     return g, j

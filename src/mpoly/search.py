@@ -697,13 +697,11 @@ def minimize_spectral_radius(
     n = _validate_family(mats)
     if budget < 1:
         raise DomainError("budget must be at least 1")
-    for idx, m in enumerate(mats):
-        if m.is_exact:
-            if any(x < 0 for row in m.rows() for x in row):
-                raise DomainError(f"matrix {idx} has a negative entry")
-        elif float(m.as_array().min()) < 0.0:
-            raise DomainError(f"matrix {idx} has a negative entry")
     stack = np.stack([m.as_array() for m in mats])
+    for idx, (m, arr) in enumerate(zip(mats, stack)):
+        # exact signs from the numerators: -1/10^400 has the float view -0.0
+        if (min(map(min, m._num)) if m.is_exact else arr.min()) < 0:
+            raise DomainError(f"matrix {idx} has a negative entry")
     point = None
     if all(m.is_exact for m in mats):
         eye = Matrix.identity(n, exact=True)

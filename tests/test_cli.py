@@ -463,10 +463,62 @@ class TestPipelineCommand:
         assert res.returncode == 64
 
 
+# a Z-matrix family that is never a nonsingular M-matrix: the search
+# reaches its seeded ascent, and the Hurwitz search its seeded descent
+NOT_MMATRIX_FAMILY = "[" + NOT_MMATRIX_JSON.strip() + "]"
+SEEDED_INPUTS = {
+    "ms-solve": C5_TEXT,
+    "hurwitz-search": NOT_MMATRIX_FAMILY,
+    "radius-min": '[{"n":2,"entries":[[0.0,1.0],[1.0,0.0]],"exact":false}]',
+    "search": NOT_MMATRIX_FAMILY,
+}
+# 10^400 has no finite float64 value; the nonnegative copy is for radius-min
+BEYOND_FLOAT = '{"n":2,"entries":[["1e400","-1"],["-1","2"]],"exact":true}'
+BEYOND_FLOAT_NONNEG = BEYOND_FLOAT.replace('"-1"', '"1"')
+
+
 class TestGlobalFlags:
     def test_usage_error_is_64(self):
         assert mpoly_cmd("no-such-command").returncode == 64
         assert mpoly_cmd().returncode == 64
+
+    @pytest.mark.parametrize("command", sorted(SEEDED_INPUTS))
+    def test_negative_seed_is_a_usage_error(self, tmp_path, command):
+        path = tmp_path / "input"
+        path.write_text(SEEDED_INPUTS[command])
+        res = mpoly_cmd(command, str(path), "--seed", "-1")
+        assert res.returncode == 64
+        assert "--seed: must be a non-negative integer" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", [
+        "certify", "certify --float", "search", "search --symmetric",
+        "hurwitz-search", "radius-min",
+    ])
+    def test_entry_beyond_float64_is_an_input_error(self, tmp_path, command):
+        big = BEYOND_FLOAT_NONNEG if command == "radius-min" else BEYOND_FLOAT
+        path = tmp_path / "big.json"
+        path.write_text(big if command.startswith("certify") else f"[{big}]")
+        res = mpoly_cmd(*command.split(), str(path))
+        assert res.returncode == 65
+        assert res.stderr.startswith("mpoly: ")
+        assert res.stderr.count("\n") == 1
+        assert "beyond the float64 range" in res.stderr
+
+    def test_main_runs_in_its_own_context(self, workspace, monkeypatch, capsys):
+        # the command starts at the default tolerance whatever the caller
+        # set, and its --tol setting ends when main returns
+        monkeypatch.delenv("MPOLY_TOL", raising=False)
+        seen = []
+        real = mpoly.cli.certify
+        monkeypatch.setattr(mpoly.cli, "certify",
+                            lambda m: seen.append(mpoly.tolerance()) or real(m))
+        good = str(workspace / "good.json")
+        mpoly.set_tolerance(1e-3)
+        assert mpoly.cli.main(["certify", good]) == 0
+        assert mpoly.cli.main(["certify", good, "--tol", "1e-6"]) == 0
+        assert seen == [mpoly.DEFAULT_TOLERANCE, 1e-6]
+        assert mpoly.tolerance() == 1e-3
 
     def test_env_tolerance_applies(self, workspace):
         # a huge tolerance pushes every float margin into the MARGINAL band

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mpoly import (
+    DomainError,
     Matrix,
     SingularBlock,
     SimplexPoint,
@@ -122,6 +123,13 @@ class TestRepresentation:
                 # bit-identical to float(Fraction), which rounds correctly
                 assert arr[i, j] == float(x)
                 assert flt.entry(i, j) == float(x)
+
+    def test_entry_beyond_float64_is_a_domain_error(self):
+        # the correctly rounded float view has no finite value for 10^400
+        m = Matrix.exact([["1e400", "-1"], ["-1", "2"]])
+        for view in (m.as_array, m.to_float, lambda: certify(m)):
+            with pytest.raises(DomainError, match="beyond the float64 range"):
+                view()
 
     @given(grids(SMALL), st.integers(2, 9))
     @example([[Fraction(1, 2)]], 2)  # "2/4" against 1/2

@@ -331,7 +331,7 @@ class TestMotzkinStrausMin:
         # up to rounding: the plain step alone already decreases the form,
         # and the ray is taken only where it does better
         for g in corpus.gnp_samples((2, 5, 9, 14), 20, 99):
-            a = np.asarray(g.adjacency_rows(exact=False)) + np.eye(g.n)
+            a = np.asarray(g.adjacency_rows()) + np.eye(g.n)
             step = 1.0 / max(2.0 * np.linalg.eigvalsh(a).max(), 2.0)
             x = sample_simplex_rows(np.random.default_rng(g.n), 30, g.n)
             before = _forms(x, a)

@@ -25,6 +25,7 @@ from mpoly import (
     det_closed_form,
     eigenvalues,
     hurwitz_search,
+    instance_graph,
     is_clique_cover,
     is_threshold_proof,
     max_independent_set,
@@ -740,6 +741,10 @@ class TestMinimizeSpectralRadius:
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
             minimize_spectral_radius([Matrix.float64([[0, -0.1], [0, 0]])])
+        # the float view of -1/10^400 is -0.0, but the exact sign is negative
+        tiny = Matrix.exact([[0, Fraction(-1, 10**400)], [0, 0]])
+        with pytest.raises(DomainError, match="negative entry"):
+            minimize_spectral_radius([tiny])
 
     def test_gadget_parts_give_the_closed_form_minimum(self, monkeypatch):
         descents = count_descents(monkeypatch)
@@ -790,6 +795,38 @@ class TestMinimizeSpectralRadius:
                 assert report.consensus == "YES"
             elif rho > 1.0 + 1e-6:
                 assert report.consensus == "NO"
+
+
+class TestExactPathsReadNumerators:
+    def test_gadget_paths_make_no_fraction_view(self, monkeypatch):
+        # the gadget paths read exact matrices through their integer
+        # numerators: with the Fraction views refusing, every outcome stays
+        c5, petersen = corpus.cycle(5), corpus.petersen()
+        cases = [(c5, 1), (c5, 2), (petersen, 3), (petersen, 4)]
+        near = [with_entry(K3_J2[0], 1, 1, Fraction(3, 2))] + list(K3_J2[1:])
+
+        def outcomes():
+            found = [instance_graph(near)]
+            for g, j in cases:
+                gadgets = build_instance(g, j).gadgets
+                found += [
+                    instance_graph(gadgets),
+                    search_general(gadgets, seed=0),
+                    hurwitz_search([-m for m in gadgets], seed=0),
+                    minimize_spectral_radius(nonneg_parts(g, j), seed=0),
+                ]
+            return found
+
+        expected = outcomes()
+        assert expected[0] is None
+        assert [expected[1 + 4 * i] for i in range(4)] == cases
+
+        def refuse(*args):
+            raise AssertionError("a Fraction view of an exact matrix was read")
+
+        for name in ("rows", "entry", "exact"):
+            monkeypatch.setattr(Matrix, name, refuse)
+        assert outcomes() == expected
 
 
 class TestHurwitzSearch:
