@@ -8,7 +8,9 @@ when its --node-budget runs out; 64 usage error (an -o path that cannot be
 written and a negative --seed included), 65 malformed input (an exact entry
 beyond the float64 range included); pipeline reserves 70 for a soundness
 violation (search said FEASIBLE but the oracle says the instance is
-infeasible, or INFEASIBLE but the oracle says it is feasible).
+infeasible, or INFEASIBLE but the oracle says it is feasible). pipeline
+takes graphs on up to ``oracle.MAX_EXACT_VERTICES`` (30) vertices, the
+exact oracle's limit; a larger graph is a usage error.
 
 Seeds default to 0, never to entropy; identical arguments give byte
 identical JSON output. The MPOLY_TOL environment variable overrides the
@@ -31,6 +33,7 @@ from .errors import BudgetExceeded, DomainError
 from .linalg import Matrix, matrices_from_json, matrices_to_json
 from .mmatrix import certify
 from .oracle import (
+    MAX_EXACT_VERTICES,
     alpha_lower_bound,
     extract_independent_set,
     max_independent_set,
@@ -49,8 +52,6 @@ from .simplex import SimplexPoint
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOUNDNESS = 70
-
-PIPELINE_MAX_VERTICES = 12
 
 
 class _UsageError(Exception):
@@ -292,9 +293,9 @@ def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
     INFEASIBLE although alpha > j), 2 an honest completeness miss (UNKNOWN
     although alpha > j), 0 agreement.
     """
-    if graph.n > PIPELINE_MAX_VERTICES:
+    if graph.n > MAX_EXACT_VERTICES:
         raise DomainError(
-            f"pipeline supports n <= {PIPELINE_MAX_VERTICES} (oracle in the loop)"
+            f"pipeline supports n <= {MAX_EXACT_VERTICES} (oracle in the loop)"
         )
     instance = build_instance(graph, j)
     outcome = search_general(instance.gadgets, budget=budget, seed=seed)
@@ -323,8 +324,8 @@ def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
 
 def cmd_pipeline(args) -> int:
     graph = _load_graph(args.graph)
-    if graph.n > PIPELINE_MAX_VERTICES:
-        raise _UsageError(f"pipeline supports n <= {PIPELINE_MAX_VERTICES}")
+    if graph.n > MAX_EXACT_VERTICES:
+        raise _UsageError(f"pipeline supports n <= {MAX_EXACT_VERTICES}")
     if not 1 <= args.j <= graph.n:
         raise _UsageError(f"j must be in [1, {graph.n}], got {args.j}")
     report = run_pipeline(graph, args.j, budget=args.budget, seed=args.seed)

@@ -5,12 +5,13 @@ rationals, stored as integer numerators over one positive common
 denominator in lowest terms; entries are handed out as
 :class:`fractions.Fraction`. Determinants, leading principal minors and
 Schur complements run in both backings; eigenvalue-based quantities are
-float only. The exact path runs fraction-free (Bareiss) elimination on the
-numerators themselves, so sign decisions at the determinant boundary are
-unambiguous; float decisions near a boundary are reported as MARGINAL
-instead. Library code reads exact matrices through ``_num`` and ``_den``
-only; :meth:`Matrix.rows` and :meth:`Matrix.entry` are Fraction views for
-callers.
+float only. Every exact determinant, leading minor, inverse and Schur
+complement comes from one fraction-free (Bareiss) Gauss-Jordan kernel,
+``_bareiss``, run on the numerators themselves, so sign decisions at the
+determinant boundary are unambiguous; float decisions near a boundary are
+reported as MARGINAL instead. Library code reads exact matrices through
+``_num`` and ``_den`` only; :meth:`Matrix.rows` and :meth:`Matrix.entry`
+are Fraction views for callers.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from multiple threads.
@@ -369,98 +370,78 @@ def _eliminate(row_i: list[int], row_k: list[int], k: int, pivot: int, prev: int
                 row_i[j] = row_i[j] * pivot // prev
 
 
-def _det_exact(num, den: int) -> Fraction:
-    """det(num / den) by fraction-free Bareiss elimination on the integer
-    numerators, with first-nonzero row pivoting."""
-    n = len(num)
-    m = [list(r) for r in num]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            _eliminate(m[i], m[k], k, pivot, prev)
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], den**n)
+def _bareiss(aug: list[list[int]], k: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows of ``aug``.
 
-
-def _leading_minors_exact(num, den: int) -> list[Fraction]:
-    """All leading principal minors of num / den, one Bareiss pass when no
-    pivot stalls.
-
-    Without row swaps the pivot produced after eliminating column k equals
-    the order-(k+1) leading minor of the numerator grid, so minor k+1 is
-    pivot / den^(k+1). A zero pivot stalls the pass; remaining minors fall
-    back to per-submatrix Bareiss.
+    A is the leading k-by-k block; every row below it is eliminated too.
+    Works in place and returns the pivots. A zero pivot is mended by adding
+    the first later row of A that is nonzero in its column, which keeps
+    det(A) and A^-1 B: the state of a row that has not been a pivot is
+    linear in its original row. The pivot recorded is the one before the mend, so up to the first zero
+    pivot c is the order-(c+1) leading minor of A, and the last pivot is
+    det(A). When no row mends a zero pivot, A is singular and the pass stops
+    there, its last pivot 0. Otherwise, for d = det(A), the columns after A
+    hold d A^-1 B in the rows of A and d (D - C A^-1 B) in the rows [C | D]
+    below it (Sylvester's identity).
     """
-    n = len(num)
-    m = [list(r) for r in num]
-    minors: list[Fraction] = []
-    scale = 1
-    prev = 1
-    stalled = False
-    for k in range(n):
-        scale *= den
-        if stalled:
-            minors.append(_det_exact([r[: k + 1] for r in num[: k + 1]], den))
-            continue
-        pivot = m[k][k]
-        minors.append(Fraction(pivot, scale))
-        if k == n - 1:
-            break
-        if pivot == 0:
-            stalled = True
-            continue
-        for i in range(k + 1, n):
-            _eliminate(m[i], m[k], k, pivot, prev)
-        prev = pivot
-    return minors
-
-
-def _bareiss_gauss_jordan(aug: list[list[int]], k: int) -> int:
-    """Fraction-free Gauss-Jordan elimination of the integer rows [A | B].
-
-    A is the leading k-by-k block. Works in place and returns d = +-det(A)
-    (the sign follows the row swaps); the columns after A then hold
-    d * A^-1 B. Returns 0, leaving ``aug`` partly eliminated, when A is
-    singular. Each pivot is a leading minor of the row-swapped A.
-    """
+    pivots = []
     prev = 1
     for c in range(k):
-        if aug[c][c] == 0:
-            pivot_row = next((r for r in range(c + 1, k) if aug[r][c] != 0), None)
-            if pivot_row is None:
-                return 0
-            aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        pivot = aug[c][c]
-        # columns up to c are not read again, so they are left as they are
-        for i in range(k):
+        row = aug[c]
+        pivots.append(row[c])
+        if row[c] == 0:
+            donor = next((aug[r] for r in range(c + 1, k) if aug[r][c]), None)
+            if donor is None:
+                return pivots
+            for j in range(c, len(row)):
+                row[j] += donor[j]
+        pivot = row[c]
+        # columns up to c are not read again, so they are left as they are;
+        # rows above the pivot only carry d A^-1 B, so without B they stay
+        for i in range(0 if len(row) > k else c + 1, len(aug)):
             if i != c:
-                _eliminate(aug[i], aug[c], c, pivot, prev)
+                _eliminate(aug[i], row, c, pivot, prev)
         prev = pivot
-    return prev
+    return pivots
 
 
-def _smallest_inverse_entry(m: Matrix) -> Fraction | None:
-    """Smallest entry of the inverse of an exact matrix; None when singular.
+def _block_det(num, den: int, k: int) -> Fraction:
+    """det of the leading k-by-k block of num / den."""
+    return Fraction(_bareiss([list(r[:k]) for r in num[:k]], k)[-1], den**k)
 
-    One fraction-free pass over [num | I] gives d * num^-1 for d = +-det(num),
-    and the inverse of num / den is den * num^-1.
+
+def _minors(m: Matrix, pivots: list[int]) -> list[Fraction]:
+    """Leading principal minors of exact m from the pivots of its elimination.
+
+    The pivots are the minors' numerators up to the first zero; each later
+    minor is the determinant of its own block.
+    """
+    minors = []
+    for c, p in enumerate(pivots):
+        minors.append(Fraction(p, m._den ** (c + 1)))
+        if p == 0:
+            break
+    return minors + [
+        _block_det(m._num, m._den, k) for k in range(len(minors) + 1, m.n + 1)
+    ]
+
+
+def _inverse_pass(m: Matrix) -> tuple[list[int], Fraction | None]:
+    """Pivots and smallest inverse entry (None when singular) of exact m,
+    from one elimination of [num | I].
+
+    The pass leaves d * num^-1 for d = det(num), and the inverse of
+    num / den is den * num^-1.
     """
     n = m.n
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m._num)]
-    d = _bareiss_gauss_jordan(aug, n)
+    pivots = _bareiss(aug, n)
+    d = pivots[-1]
     if d == 0:
-        return None
+        return pivots, None
     scaled = (x for r in aug for x in r[n:])
     extreme = min(scaled) if d > 0 else max(scaled)
-    return Fraction(extreme * m._den, d)
+    return pivots, Fraction(extreme * m._den, d)
 
 
 # -- operations ---------------------------------------------------------------
@@ -469,14 +450,14 @@ def _smallest_inverse_entry(m: Matrix) -> Fraction | None:
 def det(m: Matrix):
     """Determinant; exact Fraction in rational backing, float otherwise."""
     if m.is_exact:
-        return _det_exact(m._num, m._den)
+        return _block_det(m._num, m._den, m.n)
     return float(np.linalg.det(m.as_array()))
 
 
 def leading_principal_minors(m: Matrix) -> list:
     """Determinants of the top-left k-by-k submatrices, k = 1..n."""
     if m.is_exact:
-        return _leading_minors_exact(m._num, m._den)
+        return _minors(m, _bareiss([list(r) for r in m._num], m.n))
     arr = m.as_array()
     return [float(np.linalg.det(arr[:k, :k])) for k in range(1, m.n + 1)]
 
@@ -524,26 +505,15 @@ def schur_complement(m: Matrix, k: int) -> Matrix:
     if not 1 <= k <= m.n - 1:
         raise DomainError(f"split index must be in [1, {m.n - 1}], got {k}")
     if m.is_exact:
-        num = m._num
-        # [A | B] -> [d I | d A^-1 B], then S = (d D - C d A^-1 B) / (d den)
-        top = [list(r) for r in num[:k]]
-        d = _bareiss_gauss_jordan(top, k)
+        aug = [list(r) for r in m._num]
+        d = _bareiss(aug, k)[-1]
         if d == 0:
             raise SingularBlock("leading block is singular")
-        comp = [
-            [
-                d * num[i][j] - sum(num[i][t] * top[t][j] for t in range(k))
-                for j in range(k, m.n)
-            ]
-            for i in range(k, m.n)
-        ]
-        return Matrix._from_numerators(comp, d * m._den)
+        # the rows below the block end as d times the numerators' complement
+        return Matrix._from_numerators([r[k:] for r in aug[k:]], d * m._den)
     arr = m.as_array()
-    a = arr[:k, :k]
-    if float(np.linalg.det(a)) == 0.0:
-        raise SingularBlock("leading block is singular")
     try:
-        x = np.linalg.solve(a, arr[:k, k:])
+        x = np.linalg.solve(arr[:k, :k], arr[:k, k:])
     except np.linalg.LinAlgError as exc:
         raise SingularBlock("leading block is singular") from exc
     return Matrix.float64(arr[k:, k:] - arr[k:, :k] @ x)
@@ -570,9 +540,10 @@ def collatz_wielandt_ratio(n_mat: Matrix, x: Sequence[float]) -> float:
 
     Upper-bounds the spectral radius of N for every positive x.
     """
-    arr = n_mat.as_array()
-    if bool((arr < 0).any()):
+    # exact signs come from the numerators: a tiny negative entry's float is -0.0
+    if (min(map(min, n_mat._num)) if n_mat.is_exact else n_mat._array.min()) < 0:
         raise DomainError("matrix must be entrywise nonnegative")
+    arr = n_mat.as_array()
     vec = np.asarray([float(v) for v in x], dtype=np.float64)
     if vec.shape != (n_mat.n,):
         raise DimensionMismatch(f"vector length {vec.size} != dimension {n_mat.n}")

@@ -12,15 +12,18 @@ The five conditions cross-validate each other on Z-matrices:
   Z-structure), the spectral radius of N stays below s. Since
   eig(s I - M) = s - eig(M), the margin is s - max_i |s - lambda_i(M)|.
 
-:func:`certify` makes one float copy of M, one Z test and one eigenvalue
-computation per call: D16, POS_STABLE and RHO_SPLIT are reductions of that
-one spectrum. Eigenvalue-based conditions always run on the float copy and
-may report MARGINAL near a boundary; E17 and N38 decide exactly on rational
-inputs. Float verdicts are banded relative to the size of the matrix: D16,
-POS_STABLE and RHO_SPLIT divide their margins by max |M_ij| and float N38
-divides by max |M^-1_ij| before comparing with the tolerance, so scaling M
-by a positive number does not move a verdict; D16 also takes an
-eigenvalue as near-real relative to max |M_ij|. The margins reported for
+:func:`certify` makes one float copy, one Z test, one spectrum and, for
+exact input, one elimination per call: D16, POS_STABLE and RHO_SPLIT are
+reductions of that one spectrum, and exact E17 and N38 read the pivots and
+the inverse that one fraction-free elimination of [M | I] leaves.
+Eigenvalue-based conditions always run on the float copy and may report
+MARGINAL near a boundary; E17 and N38 decide exactly on rational inputs,
+and an exact margin beyond the float64 range is reported as +-inf. Float
+verdicts are banded relative to the size of the matrix: D16, POS_STABLE
+and RHO_SPLIT divide their margins by max |M_ij| and float N38 divides by
+max |M^-1_ij| before comparing with the tolerance, so scaling M by a
+positive number does not move a verdict; D16 also takes an eigenvalue as
+near-real relative to max |M_ij|. The margins reported for
 these four are the unscaled ones.
 Non-Z inputs still get raw verdicts, but the report's ``is_z`` flag marks
 that the equivalences do not apply there.
@@ -41,7 +44,8 @@ from .linalg import (
     Verdict,
     banded_verdict,
     _encode_scalar,
-    _smallest_inverse_entry,
+    _inverse_pass,
+    _minors,
     eigenvalues,
     is_z_matrix,
     leading_principal_minors,
@@ -98,6 +102,26 @@ def _rho_split(arr: np.ndarray, scale: float, eigs: np.ndarray) -> Verdict:
     return _scaled_verdict(margin, scale)
 
 
+def _exact_verdict(value, passed: bool) -> Verdict:
+    """Exact verdict whose margin is value, saturated to +-inf beyond float64."""
+    try:
+        margin = float(value)
+    except OverflowError:
+        margin = math.inf if value > 0 else -math.inf
+    return Verdict(Status.YES if passed else Status.NO, margin)
+
+
+def _e17_exact(minors: list) -> Verdict:
+    smallest = min(minors)
+    return _exact_verdict(smallest, smallest > 0)
+
+
+def _n38_exact(smallest) -> Verdict:
+    if smallest is None:
+        return Verdict(Status.NO, -0.0)
+    return _exact_verdict(smallest, smallest >= 0)
+
+
 def check_e17(m: Matrix) -> Verdict:
     """All leading principal minors positive.
 
@@ -108,8 +132,7 @@ def check_e17(m: Matrix) -> Verdict:
     M, and its minors neither under- nor overflow when M is tiny or huge.
     """
     if m.is_exact:
-        smallest = min(leading_principal_minors(m))
-        return Verdict(Status.YES if smallest > 0 else Status.NO, float(smallest))
+        return _e17_exact(leading_principal_minors(m))
     arr = m.as_array()
     unit = arr / (_max_abs(arr) or 1.0)
     pivots = []
@@ -147,10 +170,7 @@ def check_n38(m: Matrix) -> Verdict:
     is the canonical YES).
     """
     if m.is_exact:
-        smallest = _smallest_inverse_entry(m)
-        if smallest is None:
-            return Verdict(Status.NO, -0.0)
-        return Verdict(Status.YES if smallest >= 0 else Status.NO, float(smallest))
+        return _n38_exact(_inverse_pass(m)[1])
     try:
         inverse = np.linalg.inv(m.as_array())
     except np.linalg.LinAlgError:
@@ -206,13 +226,13 @@ class CertificationReport:
 
     ``margins`` holds each verdict's own margin, and these are not on one
     scale. Exact E17 and N38 report the smallest leading minor and the
-    smallest inverse entry. Float E17 reports the smallest pivot over
-    max |M_ij|, a scale-free number. D16, POS_STABLE and RHO_SPLIT (always
-    computed in float) and float N38 report unscaled margins (an
-    eigenvalue, a real part, s - rho, an inverse entry), although their
-    verdicts are banded on the margin over max |M_ij| (over max |M^-1_ij|
-    for N38). So compare a margin only with the same condition's margin,
-    not ``min(margins)`` across conditions.
+    smallest inverse entry, saturated to +-inf beyond float64. Float E17
+    reports the smallest pivot over max |M_ij|, a scale-free number. D16,
+    POS_STABLE and RHO_SPLIT (always computed in float) and float N38
+    report unscaled margins (an eigenvalue, a real part, s - rho, an
+    inverse entry), although their verdicts are banded on the margin over
+    max |M_ij| (over max |M^-1_ij| for N38). So compare a margin only with
+    the same condition's margin, not ``min(margins)`` across conditions.
     """
 
     input_dim: int
@@ -250,10 +270,11 @@ def certify(m: Matrix) -> CertificationReport:
     """Run the Z check plus all five conditions and report consensus.
 
     The float copy, the Z test and the eigenvalues are computed once and
-    shared. Per-condition failures (RHO_SPLIT on a non-Z input, an
-    eigenvalue iteration that does not converge) are collected into the
-    report instead of raising; the float copy comes first, so an exact
-    entry beyond the float64 range raises DomainError.
+    shared, and so, for exact input, is the elimination behind E17 and
+    N38. Per-condition failures (RHO_SPLIT on a non-Z input, an eigenvalue
+    iteration that does not converge) are collected into the report
+    instead of raising; the float copy comes first, so an exact entry
+    beyond the float64 range raises DomainError.
     """
     is_z = is_z_matrix(m)
     found: dict[str, Verdict] = {}
@@ -267,7 +288,11 @@ def certify(m: Matrix) -> CertificationReport:
         found["POS_STABLE"] = _positive_stable(scale, eigs)
         if is_z:
             found["RHO_SPLIT"] = _rho_split(arr, scale, eigs)
-    found.update(E17=check_e17(m), N38=check_n38(m))
+    if m.is_exact:
+        pivots, smallest = _inverse_pass(m)
+        found.update(E17=_e17_exact(_minors(m, pivots)), N38=_n38_exact(smallest))
+    else:
+        found.update(E17=check_e17(m), N38=check_n38(m))
     if not is_z:
         errors["RHO_SPLIT"] = _NOT_Z
     verdicts = {name: found[name] for name in CONDITIONS if name in found}

@@ -8,6 +8,7 @@ permutations); larger graphs are seeded G(n, p) samples.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -19,6 +20,16 @@ from mpoly.oracle import Branch
 
 GNP_SEED_BASE = 20260
 GNP_P_CYCLE = (0.2, 0.35, 0.5, 0.65, 0.8)
+
+# Exact 2-by-2 matrices, entries in range, whose smallest leading minor or
+# inverse entry lies beyond float64: (entries, that condition, its margin
+# saturated to +-inf, consensus)
+BEYOND_FLOAT64_MARGINS = [
+    ([["1", "-1e300"], ["-1e300", "1"]], "E17", -math.inf, "NO"),
+    ([["1", "1"], ["1", str(1 + Fraction(1, 10**320))]], "N38", -math.inf, "DISAGREE"),
+    # 1e-320 [[2, -1], [-1, 2]]: inverse entries near 3e319
+    ([["2e-320", "-1e-320"], ["-1e-320", "2e-320"]], "N38", math.inf, "YES"),
+]
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mpoly.linalg
 import mpoly.mmatrix
 from mpoly import (
     DEFAULT_TOLERANCE,
@@ -16,6 +17,7 @@ from mpoly import (
     Matrix,
     NoConvergence,
     Status,
+    Verdict,
     certify,
     check_d16,
     check_e17,
@@ -28,6 +30,8 @@ from mpoly import (
     spectral_radius,
     tolerance,
 )
+
+import corpus
 
 CONDITION_NAMES = {"E17", "D16", "N38", "POS_STABLE", "RHO_SPLIT"}
 
@@ -119,6 +123,18 @@ class TestN38:
 
     def test_singular_is_no(self):
         assert check_n38(Matrix.exact([[1, 1], [1, 1]])).status is Status.NO
+
+
+@pytest.mark.parametrize(
+    "entries, name, margin, consensus", corpus.BEYOND_FLOAT64_MARGINS
+)
+def test_exact_margin_beyond_float64_saturates(entries, name, margin, consensus):
+    m = Matrix.exact(entries)
+    want = Verdict(Status.YES if margin > 0 else Status.NO, margin)
+    assert {"E17": check_e17, "N38": check_n38}[name](m) == want
+    rep = certify(m)
+    assert rep.verdicts[name] == want
+    assert rep.consensus == consensus
 
 
 class TestPositiveStable:
@@ -282,6 +298,21 @@ class TestCertifyMatchesChecks:
             calls.clear()
             certify(m)
             assert calls == {"eigenvalues": 1, "is_z_matrix": 1, "to_float": 1}
+
+    def test_one_elimination_per_exact_certify(self, monkeypatch):
+        calls = Counter()
+        kernel = mpoly.linalg._bareiss
+
+        def counted(aug, k):
+            calls["_bareiss"] += 1
+            return kernel(aug, k)
+
+        monkeypatch.setattr(mpoly.linalg, "_bareiss", counted)
+        certify(Matrix.exact([[2, -1], [-1, 2]]))
+        assert calls == {"_bareiss": 1}
+        calls.clear()
+        certify(Matrix.float64([[2, -1], [-1, 2]]))
+        assert calls == {}
 
     def test_unconverged_spectrum_lands_in_errors(self, monkeypatch):
         def unconverged(m):

@@ -106,6 +106,21 @@ class TestCertifyCommand:
         path.write_text('{"n":1,"entries":[[NaN]],"exact":false}')
         assert mpoly_cmd("certify", str(path), "--exact").returncode == 65
 
+    @pytest.mark.parametrize(
+        "entries, name, margin, consensus", corpus.BEYOND_FLOAT64_MARGINS
+    )
+    def test_exact_margin_beyond_float64_saturates(
+        self, tmp_path, entries, name, margin, consensus
+    ):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "entries": entries, "exact": True}))
+        res = mpoly_cmd("certify", str(path), "--json")
+        assert res.stderr == ""
+        assert res.returncode == {"YES": 0, "NO": 1}.get(consensus, 2)
+        payload = json.loads(res.stdout)
+        assert payload["consensus"] == consensus
+        assert payload["margins"][name] == ("inf" if margin > 0 else "-inf")
+
 
 class TestReduceCommand:
     def test_reduce_is_byte_idempotent(self, workspace):
@@ -456,9 +471,23 @@ class TestPipelineCommand:
         assert report["verdict"] == "DISAGREE"
         assert report["exit_code"] == 70
 
+    def test_twenty_vertex_graph_agrees(self, tmp_path):
+        g = corpus.gnp(20, 0.35, 1)
+        path = tmp_path / "g20.col"
+        path.write_text(write_graph(g))
+        alpha = max_independent_set(g).alpha
+        for j, status in ((alpha - 1, "FEASIBLE"), (alpha, "INFEASIBLE")):
+            res = mpoly_cmd("pipeline", str(path), str(j), "--json")
+            assert res.returncode == 0
+            payload = json.loads(res.stdout)
+            assert payload["verdict"] == "AGREE"
+            assert payload["search"]["status"] == status
+            assert payload["search"]["budget_spent"] == 0
+
     def test_oversized_graph_usage_error(self, tmp_path):
+        # one vertex past the exact oracle's limit
         path = tmp_path / "big.col"
-        path.write_text("p edge 13 0\n")
+        path.write_text("p edge 31 0\n")
         res = mpoly_cmd("pipeline", str(path), "1")
         assert res.returncode == 64
 

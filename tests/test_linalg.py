@@ -255,6 +255,13 @@ class TestSchurComplement:
         with pytest.raises(SingularBlock):
             schur_complement(fl([[0, 1], [1, 0]]), 1)
 
+    @pytest.mark.parametrize("c", [1e-170, 1e170])
+    def test_float_block_far_from_unit_scale(self, c):
+        # det of the leading block under- or overflows; the complement does not
+        grid = c * np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        comp = schur_complement(fl(grid.tolist()), 2)
+        assert comp.entry(0, 0) == pytest.approx(c * 4 / 3, rel=1e-12)
+
     def test_split_index_validated(self):
         with pytest.raises(DomainError):
             schur_complement(exact([[1]]), 1)
@@ -369,6 +376,11 @@ class TestCollatzWielandt:
             collatz_wielandt_ratio(fl([[0, 1], [1, 0]]), (1, 0))
         with pytest.raises(DimensionMismatch):
             collatz_wielandt_ratio(fl([[0, 1], [1, 0]]), (1, 1, 1))
+
+    def test_exact_sign_read_from_numerators(self):
+        # the float view of -1/10^400 is -0.0
+        with pytest.raises(DomainError):
+            collatz_wielandt_ratio(exact([[1, Fraction(-1, 10**400)], [0, 1]]), (1, 1))
 
     def test_upper_bounds_spectral_radius(self):
         rng = np.random.default_rng(12)
