@@ -418,9 +418,11 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser(
         "ms-solve",
-        help="minimize the simplex quadratic form; reports the float-derived "
-        "alpha_lower_bound and an independent_set (1-based) rounded from the "
-        "minimizer, which a reader can check",
+        help="minimize the simplex quadratic form y'(I + C)y, whose minimum is "
+        "1/alpha: the restarts descend Bomze's form y'(C + I/2)y, the best is "
+        "picked on that form, and the value is reported on I + C; reports the "
+        "float-derived alpha_lower_bound and an independent_set (1-based) "
+        "rounded from the minimizer, which a reader can check",
     )
     p.add_argument("graph")
     p.add_argument("--restarts", type=_positive_int, default=None)

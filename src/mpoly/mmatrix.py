@@ -84,7 +84,7 @@ def _spectrum(m: Matrix) -> tuple[np.ndarray, float, np.ndarray]:
 
 
 def _d16(scale: float, eigs: np.ndarray) -> Verdict:
-    real_parts = eigs.real[np.abs(eigs.imag) < config.tolerance() * (scale or 1.0)]
+    real_parts = eigs.real[_over_scale(np.abs(eigs.imag), scale) < config.tolerance()]
     if not real_parts.size:
         return Verdict(Status.YES, math.inf)
     return _scaled_verdict(real_parts.min(), scale)

@@ -8,11 +8,16 @@ of more than j vertices or builds a tree of such partitions that proves
 alpha <= j, with an independent integer checker for the tree; and a
 multi-start projected-gradient minimizer for the quadratic form
 y' (I + C) y over the probability simplex, whose global minimum equals
-1/alpha(G). Each round of the minimizer searches exactly along the
-projected-gradient ray of every live restart, and a restart retires as
-soon as it stops moving. Restart start points depend only on the seed and
-restart index, so results are reproducible and independent of execution
-order; ties between restarts resolve to the lowest restart index.
+1/alpha(G). The minimizer descends Bomze's regularised form
+y' (C + I/2) y, whose local minimizers are all strict and are exactly the
+uniform points on maximal independent sets (I. M. Bomze, J. Global
+Optim. 10 (1997) 143-164), picks the best restart on that form and
+reports y' (I + C) y there. Each round of the minimizer searches exactly
+along the projected-gradient ray of every live restart, and a restart
+retires as soon as it stops moving. Restart start points depend only on
+the seed and restart index, so results are reproducible and independent
+of execution order; ties between restarts resolve to the lowest restart
+index.
 """
 
 from __future__ import annotations
@@ -326,6 +331,18 @@ def _forms(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return ((x @ a) * x).sum(1)
 
 
+def _rescale_rows(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The nonnegative rows of z, each divided by its sum, back onto the
+    simplex. A long ray multiplies the rounding in sum(d), and a ray of
+    pure rounding noise can end with every coordinate clipped to 0, so a
+    row whose sum is 0 or not finite takes the row of y instead."""
+    total = z.sum(1, keepdims=True)
+    bad = ~(np.isfinite(total) & (total > 0.0))[:, 0]
+    if bad.any():
+        z[bad], total[bad] = y[bad], 1.0
+    return z / total
+
+
 def _ms_round(x: np.ndarray, a: np.ndarray, step: float) -> np.ndarray:
     """One round of the minimizer on the rows of x; returns the next rows.
 
@@ -347,15 +364,7 @@ def _ms_round(x: np.ndarray, a: np.ndarray, step: float) -> np.ndarray:
     t = np.full_like(t_max, np.inf)  # a concave ray runs to its end
     np.divide(-slope, 2.0 * curv, out=t, where=curv > 0.0)
     t = np.minimum(np.maximum(t, 1.0), t_max)
-    z = np.maximum(x + t[:, None] * d, 0.0)
-    # back onto the simplex: a long ray multiplies the rounding in sum(d),
-    # and a ray of pure rounding noise can end with every coordinate
-    # clipped to 0, so a row whose sum is 0 or not finite keeps y
-    total = z.sum(1, keepdims=True)
-    bad = ~(np.isfinite(total) & (total > 0.0))[:, 0]
-    if bad.any():
-        z[bad], total[bad] = y[bad], 1.0
-    z /= total
+    z = _rescale_rows(np.maximum(x + t[:, None] * d, 0.0), y)
     better = _forms(z, a) < _forms(y, a)
     return np.where(better[:, None], z, y)
 
@@ -368,14 +377,20 @@ def motzkin_straus_min(
 ) -> MSolveResult:
     """Minimize y' (I + C) y over the simplex by multi-start projected gradient.
 
-    Starts are the uniform point plus ``restarts - 1`` seeded Dirichlet(1)
-    samples; ``restarts`` defaults to 20 n. Each round moves every live
-    restart along the ray from its point through its projected-gradient
-    step of length 1/L (L twice the largest eigenvalue of I + C) to the
-    minimum of the form on that ray, so the objective decreases
-    monotonically (see ``_ms_round``). A restart retires once it moves less
-    than 1e-10, and the run ends when none is left or after ``iters``
-    rounds. The reported value is re-evaluated at the minimizer.
+    The restarts descend B = C + I/2 instead. On the plain form rows drift
+    along flat faces of non-strict minimizers, while every local minimizer
+    of B is strict and is the uniform point on a maximal independent set;
+    the global ones, of value 1/(2 alpha), are those on maximum independent
+    sets, where the plain form is 1/alpha (Bomze 1997). Starts are the
+    uniform point plus ``restarts - 1`` seeded Dirichlet(1) samples;
+    ``restarts`` defaults to 20 n. Each round moves every live restart along
+    the ray from its point through its projected-gradient step of length 1/L
+    (L twice the largest eigenvalue of B, at least 1) to the minimum of
+    y' B y on that ray, so that form decreases monotonically (see
+    ``_ms_round``). A restart retires once it moves less than 1e-10, and the
+    run ends when none is left or after ``iters`` rounds. The best restart
+    is the one of least y' B y, ties to the lowest restart index; the
+    reported value is y' (I + C) y re-evaluated at its minimizer.
     """
     n = g.n
     if restarts is None:
@@ -385,9 +400,10 @@ def motzkin_straus_min(
     if iters < 1:
         raise DomainError("iters must be at least 1")
 
-    a = np.asarray(g.adjacency_rows(), dtype=np.float64) + np.eye(n)
-    lip = 2.0 * float(np.linalg.eigvalsh(a).max())
-    step = 1.0 / max(lip, 2.0)
+    c = np.asarray(g.adjacency_rows(), dtype=np.float64)
+    b = c + 0.5 * np.eye(n)  # every local minimizer strict (Bomze)
+    # L = 2 lambda_max(B), at least 1 since lambda_max(B) >= 1/2
+    step = 1.0 / (2.0 * float(np.linalg.eigvalsh(b).max()))
 
     rng = np.random.default_rng(seed)
     pts = np.empty((restarts, n), dtype=np.float64)
@@ -398,17 +414,16 @@ def motzkin_straus_min(
     live = np.arange(restarts)
     for _ in range(iters):
         x = pts[live]
-        nxt = _ms_round(x, a, step)
+        nxt = _ms_round(x, b, step)
         pts[live] = nxt
         live = live[np.abs(nxt - x).max(1) >= STATIONARITY_TOL]
         if live.size == 0:
             break
 
-    values = _forms(pts, a)
-    best = int(np.argmin(values))  # ties resolve to the lowest restart index
+    best = int(np.argmin(_forms(pts, b)))  # ties to the lowest restart index
     minimizer = SimplexPoint.from_floats(pts[best])
     w = minimizer.to_floats()
-    value = float(w @ a @ w)
+    value = float(w @ (c + np.eye(n)) @ w)
     return MSolveResult(value=value, minimizer=minimizer, restarts_used=restarts)
 
 

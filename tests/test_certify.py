@@ -105,6 +105,16 @@ class TestD16:
         assert verdicts == {check_d16(Matrix.float64(base))}
         assert check_d16(Matrix.float64(base)).margin == math.inf
 
+    def test_near_real_test_survives_subnormal_scale(self):
+        # eigenvalues +-c: tolerance * max|M_ij| underflows to 0 at c = 1e-320,
+        # so the near-real test divides the imaginary parts by the scale
+        for c in (1.0, 1e-320):
+            m = Matrix.float64([[0.0, -c], [-c, 0.0]])
+            v = check_d16(m)
+            assert v.status is Status.NO
+            assert v.margin == -c
+            assert certify(m).consensus == "MARGINAL"
+
 
 class TestN38:
     def test_yes_by_hand_inverse(self):

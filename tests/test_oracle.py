@@ -30,7 +30,7 @@ from mpoly import (
 )
 import mpoly
 import mpoly.oracle
-from mpoly.oracle import Branch, MSolveResult, _forms, _ms_round
+from mpoly.oracle import Branch, MSolveResult, _forms, _ms_round, _rescale_rows
 from mpoly.simplex import sample_simplex_rows
 
 import corpus
@@ -43,6 +43,17 @@ def is_independent(g: Graph, vertices) -> bool:
         for a in range(len(vs))
         for b in range(a + 1, len(vs))
     )
+
+
+def assert_uniform_on_maximum_set(g: Graph, res: MSolveResult) -> None:
+    """The minimizer is uniform, to 1e-12, on an independent support that
+    extract_independent_set recovers and whose size the value implies."""
+    w = res.minimizer.to_floats()
+    support = frozenset(v for v in range(g.n) if w[v] > 0.0)
+    assert is_independent(g, support), (g, support)
+    assert max(abs(w[v] - 1.0 / len(support)) for v in support) <= 1e-12
+    assert extract_independent_set(g, res.minimizer) == support
+    assert len(support) == alpha_lower_bound(res.value)
 
 
 class TestMaxIndependentSet:
@@ -326,13 +337,38 @@ class TestMotzkinStrausMin:
         alpha = corpus.exhaustive_alpha(g)
         res = motzkin_straus_min(g, seed=0)
         assert 1.0 / alpha - 1e-9 <= res.value <= 1.0 / alpha + 1e-6
+        assert_uniform_on_maximum_set(g, res)
+
+    def test_minimizer_is_uniform_on_a_maximum_set(self):
+        # the local minimizers of y'(C + I/2)y are the uniform points on
+        # maximal independent sets, and the best restart is picked on that
+        # form, so the reported point is the uniform point on its support
+        graphs = corpus.small_graphs(6) + corpus.gnp_samples(
+            (7, 8, 9, 10, 12), 30, 9090)
+        for g in graphs:
+            assert_uniform_on_maximum_set(g, motzkin_straus_min(g, seed=0))
+
+    def test_round_count(self, monkeypatch):
+        # 567 rounds on the form C + I/2; the plain form I + C took 1,040
+        calls = 0
+
+        def counted(x, a, step):
+            nonlocal calls
+            calls += 1
+            return _ms_round(x, a, step)
+
+        monkeypatch.setattr(mpoly.oracle, "_ms_round", counted)
+        for g in corpus.gnp_samples(tuple(range(12, 31)), 19, 4040):
+            motzkin_straus_min(g, seed=0)
+        assert calls <= 567
 
     def test_form_never_rises_in_a_round(self):
         # up to rounding: the plain step alone already decreases the form,
-        # and the ray is taken only where it does better
-        for g in corpus.gnp_samples((2, 5, 9, 14), 20, 99):
-            a = np.asarray(g.adjacency_rows()) + np.eye(g.n)
-            step = 1.0 / max(2.0 * np.linalg.eigvalsh(a).max(), 2.0)
+        # and the ray is taken only where it does better; on I + C and on
+        # C + I/2, the form that motzkin_straus_min descends, with its step
+        for g, shift in product(corpus.gnp_samples((2, 5, 9, 14), 20, 99), (1.0, 0.5)):
+            a = np.asarray(g.adjacency_rows()) + shift * np.eye(g.n)
+            step = 1.0 / (2.0 * np.linalg.eigvalsh(a).max())
             x = sample_simplex_rows(np.random.default_rng(g.n), 30, g.n)
             before = _forms(x, a)
             for _ in range(100):
@@ -343,18 +379,25 @@ class TestMotzkinStrausMin:
                 assert np.abs(x.sum(1) - 1.0).max() <= 1e-12
                 before = after
 
-    @pytest.mark.parametrize("n, p, graph_seed, restarts, seed", [
-        (6, 0.5, 10378, 13, 12),
-        (14, 0.5, 16276, 29, 202),
-    ])
-    def test_ray_clipped_to_zero_keeps_the_plain_step(self, n, p, graph_seed,
-                                                      restarts, seed):
+    @pytest.mark.parametrize("n, p, graph_seed", [(10, 0.2, 1), (10, 0.35, 16)])
+    def test_ray_clipped_to_zero_keeps_the_plain_step(self, monkeypatch, n, p,
+                                                      graph_seed):
         # on these graphs a ray of pure rounding noise ends with every
         # coordinate clipped to 0; that row keeps its plain step, silently
+        clipped = 0
+
+        def counted(z, y):
+            nonlocal clipped
+            total = z.sum(1)
+            clipped += int((~(np.isfinite(total) & (total > 0.0))).sum())
+            return _rescale_rows(z, y)
+
+        monkeypatch.setattr(mpoly.oracle, "_rescale_rows", counted)
         g = corpus.gnp(n, p, graph_seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = motzkin_straus_min(g, restarts=restarts, seed=seed)
+            res = motzkin_straus_min(g, seed=1)
+        assert clipped >= 1
         alpha = corpus.exhaustive_alpha(g)
         assert 1.0 / alpha - 1e-9 <= res.value <= 1.0 / alpha + 1e-6
         assert abs(res.value - quadratic_form(g, res.minimizer)) <= 1e-12
