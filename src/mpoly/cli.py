@@ -419,10 +419,14 @@ def build_parser() -> _Parser:
     p = subs.add_parser(
         "ms-solve",
         help="minimize the simplex quadratic form y'(I + C)y, whose minimum is "
-        "1/alpha: the restarts descend Bomze's form y'(C + I/2)y, the best is "
-        "picked on that form, and the value is reported on I + C; reports the "
-        "float-derived alpha_lower_bound and an independent_set (1-based) "
-        "rounded from the minimizer, which a reader can check",
+        "1/alpha: the restarts descend Bomze's form y'(C + I/2)y, each round "
+        "to the minimum of the form on the projected-gradient ray at the "
+        "fixed step 1/2, from the point to the simplex boundary (a restart "
+        "keeps its point when the ray does not lower its form); the best is "
+        "picked on that form, snapped to the uniform point on its support "
+        "when that is independent, and the value is reported on I + C; "
+        "reports the float-derived alpha_lower_bound and an independent_set "
+        "(1-based) rounded from the minimizer, which a reader can check",
     )
     p.add_argument("graph")
     p.add_argument("--restarts", type=_positive_int, default=None)
@@ -445,7 +449,8 @@ def build_parser() -> _Parser:
         type=_positive_float,
         default=1e-6,
         help="symmetric path, a positive finite number: FEASIBLE needs a "
-        "smallest eigenvalue above it, INFEASIBLE an upper bound below minus it",
+        "smallest eigenvalue above it, INFEASIBLE an upper bound below minus it; "
+        "absolute, in the units of the matrix entries",
     )
     _add_common(p, budget=True, seed=True, backing=True)
     p.set_defaults(func=cmd_search)

@@ -127,9 +127,11 @@ def check_e17(m: Matrix) -> Verdict:
 
     The exact margin is the smallest minor. The float margin is the smallest
     pivot (the ratio of successive leading minors, up to the first one that
-    is not positive) of M / max |M_ij|. That matrix does not change under
-    M -> c M for c > 0, so the float verdict does not depend on the scale of
-    M, and its minors neither under- nor overflow when M is tiny or huge.
+    is not above the tolerance) of M / max |M_ij|. That matrix does not
+    change under M -> c M for c > 0, so the float verdict does not depend on
+    the scale of M, and its minors neither under- nor overflow when M is
+    tiny or huge. Stopping at the first pivot inside the band keeps a ratio
+    of two noise minors from deciding a NO.
     """
     if m.is_exact:
         return _e17_exact(leading_principal_minors(m))
@@ -140,7 +142,7 @@ def check_e17(m: Matrix) -> Verdict:
     for k in range(1, m.n + 1):
         minor = float(np.linalg.det(unit[:k, :k]))
         pivots.append(minor / prev)
-        if not minor > 0.0:
+        if not pivots[-1] > config.tolerance():
             break
         prev = minor
     return banded_verdict(min(pivots))

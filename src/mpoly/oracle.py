@@ -12,12 +12,15 @@ y' (I + C) y over the probability simplex, whose global minimum equals
 y' (C + I/2) y, whose local minimizers are all strict and are exactly the
 uniform points on maximal independent sets (I. M. Bomze, J. Global
 Optim. 10 (1997) 143-164), picks the best restart on that form and
-reports y' (I + C) y there. Each round of the minimizer searches exactly
-along the projected-gradient ray of every live restart, and a restart
-retires as soon as it stops moving. Restart start points depend only on
-the seed and restart index, so results are reproducible and independent
-of execution order; ties between restarts resolve to the lowest restart
-index.
+reports y' (I + C) y there. Each round of the minimizer takes the
+projected-gradient direction of every live restart at the fixed step 1/2
+and goes to the exact minimum of the form on the whole ray from the
+restart's point to the simplex boundary; a restart keeps its point when
+that ray does not lower its form, and retires as soon as it stops moving.
+When the best restart's support is independent, the reported minimizer is
+the uniform point on it. Restart start points depend only on the seed and
+restart index, so results are reproducible and independent of execution
+order; ties between restarts resolve to the lowest restart index.
 """
 
 from __future__ import annotations
@@ -324,6 +327,8 @@ class MSolveResult:
     value: float
     minimizer: SimplexPoint
     restarts_used: int
+    rounds: int  # rounds of _ms_round
+    row_rounds: int  # live restarts summed over the rounds
 
 
 def _forms(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -346,27 +351,29 @@ def _rescale_rows(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _ms_round(x: np.ndarray, a: np.ndarray, step: float) -> np.ndarray:
     """One round of the minimizer on the rows of x; returns the next rows.
 
-    The plain step is x + d with d = P(x - step * grad) - x. Along the ray
-    x + t d the form is f(x) + t slope + t^2 curv, minimized in closed form
-    over t in [1, t_max], where t_max is the largest t that keeps the point
-    nonnegative. The extended point replaces the plain one only where its
-    form is strictly lower, so no row's form rises. At a stationary point d
-    is rounding noise and the closed-form t is huge; without the comparison
-    such a row would keep drifting along a flat face and never retire.
+    The direction is d = P(x - step * grad) - x, with grad = 2 a x. For any
+    step > 0 it is a descent direction that is zero exactly at KKT points
+    (Calamai and More, Math. Prog. 39 (1987) 93-116), so the step only picks
+    the direction. Along the ray x + t d the form is f(x) + t slope +
+    t^2 curv, minimized in closed form over t in [0, t_max], where t_max is
+    the largest t that keeps the point nonnegative (at least 1, since x + d
+    is on the simplex, unless d is zero). A row keeps x unless that minimum
+    is strictly below the form at x, so no row's form rises, and a row at a
+    stationary point, where d is rounding noise, stays put instead of
+    drifting along a flat face.
     """
     ax = x @ a
-    y = project_rows_to_simplex(x - (2.0 * step) * ax)
-    d = y - x
+    d = project_rows_to_simplex(x - (2.0 * step) * ax) - x
     slope = 2.0 * (ax * d).sum(1)
     curv = ((d @ a) * d).sum(1)
     t_max = np.divide(x, -d, out=np.full_like(x, np.inf), where=d < 0.0).min(1)
-    t_max[np.isinf(t_max)] = 1.0  # no coordinate decreases: d is zero
+    t_max[np.isinf(t_max)] = 0.0  # no coordinate decreases: d is zero
     t = np.full_like(t_max, np.inf)  # a concave ray runs to its end
     np.divide(-slope, 2.0 * curv, out=t, where=curv > 0.0)
-    t = np.minimum(np.maximum(t, 1.0), t_max)
-    z = _rescale_rows(np.maximum(x + t[:, None] * d, 0.0), y)
-    better = _forms(z, a) < _forms(y, a)
-    return np.where(better[:, None], z, y)
+    t = np.minimum(np.maximum(t, 0.0), t_max)
+    z = _rescale_rows(np.maximum(x + t[:, None] * d, 0.0), x)
+    better = _forms(z, a) < _forms(x, a)
+    return np.where(better[:, None], z, x)
 
 
 def motzkin_straus_min(
@@ -383,14 +390,21 @@ def motzkin_straus_min(
     the global ones, of value 1/(2 alpha), are those on maximum independent
     sets, where the plain form is 1/alpha (Bomze 1997). Starts are the
     uniform point plus ``restarts - 1`` seeded Dirichlet(1) samples;
-    ``restarts`` defaults to 20 n. Each round moves every live restart along
-    the ray from its point through its projected-gradient step of length 1/L
-    (L twice the largest eigenvalue of B, at least 1) to the minimum of
-    y' B y on that ray, so that form decreases monotonically (see
-    ``_ms_round``). A restart retires once it moves less than 1e-10, and the
-    run ends when none is left or after ``iters`` rounds. The best restart
-    is the one of least y' B y, ties to the lowest restart index; the
-    reported value is y' (I + C) y re-evaluated at its minimizer.
+    ``restarts`` defaults to 20 n. Each round moves every live restart x
+    along the ray x + t d, t in [0, t_max], where d = P(x - 2 s B x) - x is
+    the projected-gradient direction at the fixed step s = 1/2 and t_max
+    the largest t that keeps the point nonnegative, to the minimum of
+    y' B y on that ray; a restart keeps x when that minimum is not strictly
+    below its form, so the form never rises (see ``_ms_round``). A restart
+    retires once it moves less than 1e-10, and the run ends when none is
+    left or after ``iters`` rounds. The best restart is the one of least
+    y' B y, ties to the lowest restart index. When its support (the
+    weights of at least 1e-10) is independent in G, the minimizer is the
+    uniform point on that support, which has the least form on that face,
+    so a weight of rounding noise that a clipped ray left on a neighbour
+    does not survive; the reported value is y' (I + C) y re-evaluated at
+    the minimizer. ``rounds`` counts the rounds and ``row_rounds`` the live
+    restarts summed over them.
     """
     n = g.n
     if restarts is None:
@@ -402,8 +416,6 @@ def motzkin_straus_min(
 
     c = np.asarray(g.adjacency_rows(), dtype=np.float64)
     b = c + 0.5 * np.eye(n)  # every local minimizer strict (Bomze)
-    # L = 2 lambda_max(B), at least 1 since lambda_max(B) >= 1/2
-    step = 1.0 / (2.0 * float(np.linalg.eigvalsh(b).max()))
 
     rng = np.random.default_rng(seed)
     pts = np.empty((restarts, n), dtype=np.float64)
@@ -412,19 +424,28 @@ def motzkin_straus_min(
         pts[1:] = sample_simplex_rows(rng, restarts - 1, n)
 
     live = np.arange(restarts)
-    for _ in range(iters):
+    rounds = row_rounds = 0
+    while rounds < iters and live.size:
         x = pts[live]
-        nxt = _ms_round(x, b, step)
+        # step 1/2: of the steps 1/8..2 it takes the fewest census row-rounds
+        nxt = _ms_round(x, b, 0.5)
+        rounds += 1
+        row_rounds += live.size
         pts[live] = nxt
         live = live[np.abs(nxt - x).max(1) >= STATIONARITY_TOL]
-        if live.size == 0:
-            break
 
-    best = int(np.argmin(_forms(pts, b)))  # ties to the lowest restart index
-    minimizer = SimplexPoint.from_floats(pts[best])
+    y = pts[int(np.argmin(_forms(pts, b)))]  # ties to the lowest restart index
+    # a weight below the retirement tolerance is rounding that a clipped ray
+    # left behind; on an independent face y'By = |y|^2 / 2, least at the
+    # uniform point
+    support = y >= STATIONARITY_TOL
+    if not c[support][:, support].any():
+        y = support / support.sum()
+    minimizer = SimplexPoint.from_floats(y)
     w = minimizer.to_floats()
     value = float(w @ (c + np.eye(n)) @ w)
-    return MSolveResult(value=value, minimizer=minimizer, restarts_used=restarts)
+    return MSolveResult(value=value, minimizer=minimizer, restarts_used=restarts,
+                        rounds=rounds, row_rounds=row_rounds)
 
 
 def extract_independent_set(g: Graph, pi: SimplexPoint) -> frozenset:

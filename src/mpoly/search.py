@@ -426,6 +426,13 @@ def search_symmetric(
     verified point exceeds `tolerance`, INFEASIBLE when the certified upper
     bound drops below `-tolerance`, UNKNOWN in the marginal band.
 
+    `tolerance` and ``LP_SLACK`` (the largest off-diagonal entry of a point
+    that may still raise the lower bound of the gap) are absolute, in the
+    units of the matrix entries, unlike the scale-free float tests of
+    ``certify``: scaling the family by c > 0 scales every eigenvalue and
+    bound by c but not these two, so the verdict of a family can change
+    with its scale.
+
     The vertices are scored first, then one LP point per cutting-plane
     round. Each new best Z point (off-diagonal entries at most Z_SLACK
     times max |B_ij|, the slack of :func:`linalg.is_z_matrix`) with

@@ -80,6 +80,18 @@ class TestE17:
             kept += 1
         assert kept > 100
 
+    def test_stops_at_the_first_pivot_inside_the_band(self):
+        # the second leading minor is rounding noise; the third pivot of the
+        # transpose divides by it and used to be a decided NO (margin -0.067)
+        s = 0.504110757661493
+        a = np.array([[s, -0.4568834228723222, -0.9674757242689775],
+                      [-0.5562199092109794, s, -0.4297693249696226],
+                      [0.0, 0.0, s]])
+        for m in (a, a.T):
+            rep = certify(Matrix.float64(m))
+            assert rep.verdicts["E17"].status is Status.MARGINAL
+            assert rep.consensus == "MARGINAL"
+
 
 class TestD16:
     def test_yes(self):

@@ -348,27 +348,37 @@ class TestMotzkinStrausMin:
         for g in graphs:
             assert_uniform_on_maximum_set(g, motzkin_straus_min(g, seed=0))
 
-    def test_round_count(self, monkeypatch):
-        # 567 rounds on the form C + I/2; the plain form I + C took 1,040
-        calls = 0
+    @pytest.mark.parametrize("n, graph_seed, support", [
+        (6, 1310010430, {2, 5}),  # the plain step retired 6.7e-12 from uniform
+        (9, 3504418029, {1, 2, 6}),  # a clipped ray left 2.8e-17 on vertex 3
+    ])
+    def test_snaps_an_independent_support_to_its_uniform_point(
+            self, n, graph_seed, support):
+        # on an independent face the uniform point has the least form
+        g = corpus.gnp(n, 0.8, graph_seed)
+        res = motzkin_straus_min(g, seed=0)
+        uniform = [1.0 / len(support) if v in support else 0.0 for v in range(n)]
+        assert res.minimizer.to_floats() == pytest.approx(uniform, abs=1e-15)
+        assert_uniform_on_maximum_set(g, res)
 
-        def counted(x, a, step):
-            nonlocal calls
-            calls += 1
-            return _ms_round(x, a, step)
-
-        monkeypatch.setattr(mpoly.oracle, "_ms_round", counted)
-        for g in corpus.gnp_samples(tuple(range(12, 31)), 19, 4040):
-            motzkin_straus_min(g, seed=0)
-        assert calls <= 567
+    def test_round_count(self):
+        # 380 rounds and 54,381 row-rounds at the step 1/2 on C + I/2; the
+        # step 1/(2 lambda_max) took 567 and 117,504, and I + C 1,040 rounds
+        results = [motzkin_straus_min(g, seed=0)
+                   for g in corpus.gnp_samples(tuple(range(12, 31)), 19, 4040)]
+        assert sum(r.rounds for r in results) <= 380
+        assert sum(r.row_rounds for r in results) <= 70_000
 
     def test_form_never_rises_in_a_round(self):
-        # up to rounding: the plain step alone already decreases the form,
-        # and the ray is taken only where it does better; on I + C and on
-        # C + I/2, the form that motzkin_straus_min descends, with its step
-        for g, shift in product(corpus.gnp_samples((2, 5, 9, 14), 20, 99), (1.0, 0.5)):
+        # up to rounding: the ray starts at x and a row moves only where the
+        # ray lowers its form; on I + C and on C + I/2 with the step
+        # 1/(2 lambda_max), and on C + I/2 with the step 1/2 that
+        # motzkin_straus_min takes
+        cases = ((1.0, None), (0.5, None), (0.5, 0.5))  # (shift, fixed step)
+        for g, (shift, fixed) in product(corpus.gnp_samples((2, 5, 9, 14), 20, 99),
+                                         cases):
             a = np.asarray(g.adjacency_rows()) + shift * np.eye(g.n)
-            step = 1.0 / (2.0 * np.linalg.eigvalsh(a).max())
+            step = fixed or 1.0 / (2.0 * np.linalg.eigvalsh(a).max())
             x = sample_simplex_rows(np.random.default_rng(g.n), 30, g.n)
             before = _forms(x, a)
             for _ in range(100):
@@ -379,11 +389,11 @@ class TestMotzkinStrausMin:
                 assert np.abs(x.sum(1) - 1.0).max() <= 1e-12
                 before = after
 
-    @pytest.mark.parametrize("n, p, graph_seed", [(10, 0.2, 1), (10, 0.35, 16)])
-    def test_ray_clipped_to_zero_keeps_the_plain_step(self, monkeypatch, n, p,
-                                                      graph_seed):
+    @pytest.mark.parametrize("n, p, graph_seed", [(10, 0.2, 23), (10, 0.35, 19)])
+    def test_ray_clipped_to_zero_keeps_the_point(self, monkeypatch, n, p,
+                                                 graph_seed):
         # on these graphs a ray of pure rounding noise ends with every
-        # coordinate clipped to 0; that row keeps its plain step, silently
+        # coordinate clipped to 0; that row keeps its point, silently
         clipped = 0
 
         def counted(z, y):
@@ -408,6 +418,8 @@ class TestMotzkinStrausMin:
             res = motzkin_straus_min(g, restarts=restarts, iters=iters, seed=4)
             assert isinstance(res, MSolveResult)
             assert res.restarts_used == restarts
+            assert 1 <= res.rounds <= iters
+            assert res.rounds <= res.row_rounds <= res.rounds * restarts
             assert len(res.minimizer) == g.n
             assert math.isfinite(res.value)
             assert res.value >= 1.0 / 3 - 1e-9
