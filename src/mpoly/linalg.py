@@ -9,7 +9,11 @@ float only. Every exact determinant, leading minor, inverse and Schur
 complement comes from one fraction-free (Bareiss) Gauss-Jordan kernel,
 ``_bareiss``, run on the numerators themselves, so sign decisions at the
 determinant boundary are unambiguous; float decisions near a boundary are
-reported as MARGINAL instead. Library code reads exact matrices through
+reported as MARGINAL instead. The kernel skips a row whose entry in the
+pivot column is zero, since that step would only rescale it, and scales it
+once when it is next read: the skipped factors telescope, so the result is
+the eager one bit for bit. After an early return on a singular block,
+callers read only the pivots. Library code reads exact matrices through
 ``_num`` and ``_den`` only; :meth:`Matrix.rows` and :meth:`Matrix.entry`
 are Fraction views for callers.
 
@@ -353,23 +357,6 @@ def banded_verdict(margin) -> Verdict:
 # -- exact elimination kernels ----------------------------------------------
 
 
-def _eliminate(row_i: list[int], row_k: list[int], k: int, pivot: int, prev: int):
-    """One Bareiss step on the columns after k, in place:
-    row_i[j] <- (pivot * row_i[j] - row_i[k] * row_k[j]) / prev.
-
-    The division is exact (Bareiss 1968). When row_i[k] is zero only the
-    nonzero entries need rescaling, which keeps sparse rows cheap.
-    """
-    f = row_i[k]
-    if f:
-        for j in range(k + 1, len(row_i)):
-            row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
-    else:
-        for j in range(k + 1, len(row_i)):
-            if row_i[j]:
-                row_i[j] = row_i[j] * pivot // prev
-
-
 def _bareiss(aug: list[list[int]], k: int) -> list[int]:
     """Fraction-free Gauss-Jordan elimination of the integer rows of ``aug``.
 
@@ -377,31 +364,68 @@ def _bareiss(aug: list[list[int]], k: int) -> list[int]:
     Works in place and returns the pivots. A zero pivot is mended by adding
     the first later row of A that is nonzero in its column, which keeps
     det(A) and A^-1 B: the state of a row that has not been a pivot is
-    linear in its original row. The pivot recorded is the one before the mend, so up to the first zero
-    pivot c is the order-(c+1) leading minor of A, and the last pivot is
-    det(A). When no row mends a zero pivot, A is singular and the pass stops
-    there, its last pivot 0. Otherwise, for d = det(A), the columns after A
-    hold d A^-1 B in the rows of A and d (D - C A^-1 B) in the rows [C | D]
-    below it (Sylvester's identity).
+    linear in its original row. The pivot recorded is the one before the
+    mend, so up to the first zero pivot c is the order-(c+1) leading minor
+    of A, and the last pivot is det(A). When no row mends a zero pivot, A
+    is singular and the pass stops there, its last pivot 0, and the rows
+    are left part way: callers then read only the pivots. Otherwise, for
+    d = det(A), the columns after A hold d A^-1 B in the rows of A and
+    d (D - C A^-1 B) in the rows [C | D] below it (Sylvester's identity).
+
+    A Bareiss step (1968) maps row i to (pivot * row_i - row_i[c] * row_c)
+    / prev, with an exact division. A row that is zero in the pivot column
+    is only scaled by pivot / prev, and over consecutive such steps these
+    factors telescope. So the step skips the row, and the row is scaled
+    once when it is next read: as a row to eliminate, as the pivot row, as
+    a donor, or at the end of the pass. Each entry x becomes
+    x * pivot_t / pivot_s, for s the step the row was last current at and t
+    the last step done; the division is exact because the eager result is
+    an integer, although pivot_t / pivot_s need not be. Every integer the
+    callers read then equals the one of an eager pass, and a gadget
+    combination, an identity block with one dense row and column, costs
+    O(n^2) integer operations instead of O(n^3).
     """
     pivots = []
-    prev = 1
+    scale = [1]  # scale[s + 1] is the pivot of step s, and scale[0] is 1
+    level = [-1] * len(aug)  # the step each row was last current at
+
+    def current(i: int, c: int, t: int) -> list[int]:
+        """Row i brought up to step t, on its columns from c on."""
+        row, s = aug[i], level[i]
+        if s < t:
+            up, down = scale[t + 1], scale[s + 1]
+            for j in range(c, len(row)):
+                if row[j]:
+                    row[j] = row[j] * up // down
+            level[i] = t
+        return row
+
     for c in range(k):
-        row = aug[c]
+        # column c of a stale row is tested for zero as it is: a stale entry
+        # is the current one times a nonzero factor
+        row = current(c, c, c - 1)
         pivots.append(row[c])
         if row[c] == 0:
-            donor = next((aug[r] for r in range(c + 1, k) if aug[r][c]), None)
-            if donor is None:
+            r = next((r for r in range(c + 1, k) if aug[r][c]), None)
+            if r is None:
                 return pivots
+            donor = current(r, c, c - 1)
             for j in range(c, len(row)):
                 row[j] += donor[j]
-        pivot = row[c]
+        pivot, prev = row[c], scale[-1]
+        level[c] = c  # the pivot row is current at its own step as it is
         # columns up to c are not read again, so they are left as they are;
         # rows above the pivot only carry d A^-1 B, so without B they stay
         for i in range(0 if len(row) > k else c + 1, len(aug)):
-            if i != c:
-                _eliminate(aug[i], row, c, pivot, prev)
-        prev = pivot
+            if i != c and aug[i][c]:
+                row_i = aug[i] if level[i] == c - 1 else current(i, c, c - 1)
+                f = row_i[c]
+                for j in range(c + 1, len(row_i)):
+                    row_i[j] = (row_i[j] * pivot - f * row[j]) // prev
+                level[i] = c
+        scale.append(pivot)
+    for i in range(len(aug)):
+        current(i, k, k - 1)
     return pivots
 
 

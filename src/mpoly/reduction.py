@@ -145,16 +145,25 @@ def _closed_neighbourhoods(g: Graph) -> list[list[int]]:
 
 
 def build_instance(g: Graph, j: int) -> ReductionInstance:
-    """Construct the n gadget matrices for threshold j, 1 <= j <= n."""
+    """Construct the n gadget matrices for threshold j, 1 <= j <= n.
+
+    Top row r of every gadget is j e_r with 0 or -j last, so the gadgets
+    share these 2n immutable row tuples, and only the last row of each is
+    its own.
+    """
     _check_threshold(g, j)
     n = g.n
     # numerators over the denominator j: identity block j I, column
     # -j (e_i + c_i), row -j e_i, corner 1 (so already in lowest terms)
-    eye = [[j if c == r else 0 for c in range(n)] for r in range(n)]
+    zero = (0,) * n
+    tops = []
+    for r in range(n):
+        row = zero[:r] + (j,) + zero[r + 1:]
+        tops.append((row + (0,), row + (-j,)))
     gadgets = []
     for i, column in enumerate(_closed_neighbourhoods(g)):
-        rows = [row + [-j * x] for row, x in zip(eye, column)]
-        rows.append([-j if c == i else 0 for c in range(n)] + [1])
+        rows = [top[x] for top, x in zip(tops, column)]
+        rows.append(zero[:i] + (-j,) + zero[i + 1:] + (1,))
         gadgets.append(Matrix._from_numerators(rows, j, reduced=True))
     return ReductionInstance(source=g, j=j, gadgets=tuple(gadgets))
 

@@ -17,14 +17,24 @@ from mpoly import (
     SingularBlock,
     build_instance,
     collatz_wielandt_ratio,
+    convex_combination,
     det,
     eigenvalues,
     is_z_matrix,
     leading_principal_minors,
+    max_independent_set,
     schur_complement,
     spectral_radius,
+    witness_from_independent_set,
 )
-from mpoly.linalg import leading_minors_batch, matrices_from_json, matrices_to_json
+from mpoly.linalg import (
+    _bareiss,
+    leading_minors_batch,
+    matrices_from_json,
+    matrices_to_json,
+)
+
+import corpus
 
 
 def exact(rows):
@@ -163,6 +173,111 @@ class TestLeadingPrincipalMinors:
     def test_float_minors(self):
         minors = leading_principal_minors(fl([[2, -1], [-1, 2]]))
         assert minors == pytest.approx([2.0, 3.0], rel=1e-10)
+
+
+def eager_eliminate(row_i: list[int], row_k: list[int], k: int, pivot: int,
+                    prev: int):
+    """One Bareiss step on the columns after k, in place:
+    row_i[j] <- (pivot * row_i[j] - row_i[k] * row_k[j]) / prev.
+
+    The division is exact (Bareiss 1968). When row_i[k] is zero only the
+    nonzero entries need rescaling, which keeps sparse rows cheap.
+    """
+    f = row_i[k]
+    if f:
+        for j in range(k + 1, len(row_i)):
+            row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+    else:
+        for j in range(k + 1, len(row_i)):
+            if row_i[j]:
+                row_i[j] = row_i[j] * pivot // prev
+
+
+def eager_bareiss(aug: list[list[int]], k: int) -> list[int]:
+    """The reference for ``_bareiss``: the same pass, which rescales every
+    row that is zero in the pivot column at every step."""
+    pivots = []
+    prev = 1
+    for c in range(k):
+        row = aug[c]
+        pivots.append(row[c])
+        if row[c] == 0:
+            donor = next((aug[r] for r in range(c + 1, k) if aug[r][c]), None)
+            if donor is None:
+                return pivots
+            for j in range(c, len(row)):
+                row[j] += donor[j]
+        pivot = row[c]
+        # columns up to c are not read again, so they are left as they are;
+        # rows above the pivot only carry d A^-1 B, so without B they stay
+        for i in range(0 if len(row) > k else c + 1, len(aug)):
+            if i != c:
+                eager_eliminate(aug[i], row, c, pivot, prev)
+        prev = pivot
+    return pivots
+
+
+def with_identity(rows) -> list[list[int]]:
+    """[M | I], the rows that the inverse pass eliminates."""
+    n = len(rows)
+    return [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+
+
+@st.composite
+def bareiss_inputs(draw):
+    """(rows, k): [M | I] with k = n, M with k = n, or M with 1 <= k < n, for
+    M with entries -3..3 at a drawn density."""
+    n = draw(st.integers(1, 9))
+    density = draw(st.integers(0, 10))
+    m = [
+        [draw(st.integers(-3, 3)) if draw(st.integers(1, 10)) <= density else 0
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    forms = ["inverse", "minors", "schur"] if n > 1 else ["inverse", "minors"]
+    form = draw(st.sampled_from(forms))
+    if form == "inverse":
+        return with_identity(m), n
+    if form == "minors":
+        return m, n
+    return m, draw(st.integers(1, n - 1))
+
+
+def c7_combination(j: int) -> list[list[int]]:
+    """[M | I] for the corpus C7 gadget combination at its MIS witness."""
+    g = corpus.cycle(7)
+    witness = witness_from_independent_set(g, max_independent_set(g).witness)
+    combination = convex_combination(build_instance(g, j).gadgets, witness)
+    return with_identity(combination._num)
+
+
+# rows 2 to 4 are zero in columns 0 and 1, so they are skipped at steps 0
+# and 1; pivot 2 is zero, and row 4 mends it, so the pivot of step 3 (the
+# order-4 leading minor after the mend) shows which multiple of it was added
+STALE_DONOR = (
+    with_identity([[2, 1, 0, 0, 0], [1, 3, 0, 0, 0], [0, 0, 0, 1, 0],
+                   [0, 0, 0, 1, 1], [0, 0, 1, 1, 2]]),
+    5,
+)
+
+
+class TestBareissSkipsRescales:
+    @settings(max_examples=400, deadline=None)
+    @given(bareiss_inputs())
+    @example(STALE_DONOR)
+    @example((c7_combination(2), 8))  # alpha(C7) = 3, so det > 0 at j = 2
+    @example((c7_combination(3), 8))  # and det = 0 at j = 3
+    def test_matches_the_eager_pass(self, case):
+        rows, k = case
+        lazy, eager = [list(r) for r in rows], [list(r) for r in rows]
+        pivots = _bareiss(lazy, k)
+        assert pivots == eager_bareiss(eager, k)
+        if pivots[-1]:
+            assert [r[k:] for r in lazy] == [r[k:] for r in eager]
+
+    def test_a_stale_donor_mends_the_zero_pivot(self):
+        rows, k = STALE_DONOR
+        assert _bareiss([list(r) for r in rows], k) == [2, 5, 0, 5, 5]
 
 
 def per_minor_dets(stack: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from mpoly import (
     NotIndependent,
     SimplexPoint,
     build_instance,
+    certify,
     convex_combination,
     det,
     det_closed_form,
@@ -23,6 +24,7 @@ from mpoly import (
     nonneg_parts,
     parse_graph,
     quadratic_form,
+    schur_complement,
     spectral_radius,
     witness_from_independent_set,
     write_graph,
@@ -137,6 +139,61 @@ class TestBuildInstance:
         assert sizes[8] / sizes[4] < 5.0
         assert sizes[16] / sizes[8] < 5.0
         assert sizes[32] / sizes[16] < 5.0
+
+
+def reference_gadgets(g: Graph, j: int) -> list[Matrix]:
+    """The gadgets entry by entry: identity block, column -(e_i + c_i),
+    row -e_i and corner 1/j."""
+    n, adj = g.n, g.adjacency_rows()
+    gadgets = []
+    for i in range(n):
+        rows = [
+            [int(r == c) for c in range(n)] + [-(int(r == i) + adj[r][i])]
+            for r in range(n)
+        ]
+        rows.append([-int(c == i) for c in range(n)] + [Fraction(1, j)])
+        gadgets.append(Matrix.exact(rows))
+    return gadgets
+
+
+class TestSharedRows:
+    G, J = corpus.cycle(7), 3
+
+    def test_gadgets_share_top_rows_and_equal_the_reference(self):
+        gadgets = build_instance(self.G, self.J).gadgets
+        n = self.G.n
+        tops = {id(m._num[r]) for m in gadgets for r in range(n)}
+        assert len(tops) <= 2 * n < n * n
+        for r in range(n):
+            # equal top rows are one object
+            by_value = {m._num[r]: m._num[r] for m in gadgets}
+            assert all(m._num[r] is by_value[m._num[r]] for m in gadgets)
+        assert list(gadgets) == reference_gadgets(self.G, self.J)
+
+    def test_operations_leave_the_shared_rows_unchanged(self):
+        gadgets = build_instance(self.G, self.J).gadgets
+        before = [[list(r) for r in m._num] for m in gadgets]
+        witness = witness_from_independent_set(
+            self.G, max_independent_set(self.G).witness)
+        for m in gadgets:
+            certify(m)
+            det(m)
+            leading_principal_minors(m)
+            schur_complement(m, self.G.n)
+            assert -(-m) == m
+        certify(convex_combination(gadgets, witness))
+        nonneg_parts(self.G, self.J)
+        assert [[list(r) for r in m._num] for m in gadgets] == before
+        assert list(gadgets) == reference_gadgets(self.G, self.J)
+
+    def test_instance_graph_rejects_one_perturbed_entry(self):
+        gadgets = list(build_instance(self.G, self.J).gadgets)
+        rows = [list(r) for r in gadgets[2].rows()]
+        rows[0][0] += Fraction(1, self.J)
+        perturbed = gadgets[:2] + [Matrix.exact(rows)] + gadgets[3:]
+        assert instance_graph(perturbed) is None
+        # the other gadgets hold row 0 too, and it did not change
+        assert instance_graph(gadgets) == (self.G, self.J)
 
 
 class TestInstanceGraph:
