@@ -4,13 +4,12 @@ Subcommands: certify, reduce, combine, alpha, ms-solve, search, radius-min,
 hurwitz-search, pipeline. Structured output is JSON (--json); the default is
 a short human summary. Exit codes: searches use 0 FEASIBLE, 1 INFEASIBLE,
 2 UNKNOWN; certify uses 0 YES, 1 NO, 2 MARGINAL or DISAGREE; alpha uses 2
-when its --node-budget runs out; 64 usage error (an -o path that cannot be
+when its --node-budget runs out or its search recurses past Python's
+limit; 64 usage error (an -o path that cannot be
 written and a negative --seed included), 65 malformed input (an exact entry
 beyond the float64 range included); pipeline reserves 70 for a soundness
 violation (search said FEASIBLE but the oracle says the instance is
-infeasible, or INFEASIBLE but the oracle says it is feasible). pipeline
-takes graphs on up to ``oracle.MAX_EXACT_VERTICES`` (30) vertices, the
-exact oracle's limit; a larger graph is a usage error.
+infeasible, or INFEASIBLE but the oracle says it is feasible).
 
 Seeds default to 0, never to entropy; identical arguments give byte
 identical JSON output. The MPOLY_TOL environment variable overrides the
@@ -33,7 +32,7 @@ from .errors import BudgetExceeded, DomainError
 from .linalg import Matrix, matrices_from_json, matrices_to_json
 from .mmatrix import certify
 from .oracle import (
-    MAX_EXACT_VERTICES,
+    DEFAULT_NODE_BUDGET,
     alpha_lower_bound,
     extract_independent_set,
     max_independent_set,
@@ -286,17 +285,14 @@ def cmd_hurwitz(args) -> int:
 
 
 def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
-    """Reduce, search, then compare against the brute-force oracle.
+    """Reduce, search, then compare against the exact oracle,
+    :func:`oracle.max_independent_set`.
 
     Returns a report dict with an ``exit_code`` field: 70 flags a soundness
     violation (search found a witness although alpha <= j, or answered
     INFEASIBLE although alpha > j), 2 an honest completeness miss (UNKNOWN
     although alpha > j), 0 agreement.
     """
-    if graph.n > MAX_EXACT_VERTICES:
-        raise DomainError(
-            f"pipeline supports n <= {MAX_EXACT_VERTICES} (oracle in the loop)"
-        )
     instance = build_instance(graph, j)
     outcome = search_general(instance.gadgets, budget=budget, seed=seed)
     oracle = max_independent_set(graph)
@@ -324,8 +320,6 @@ def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
 
 def cmd_pipeline(args) -> int:
     graph = _load_graph(args.graph)
-    if graph.n > MAX_EXACT_VERTICES:
-        raise _UsageError(f"pipeline supports n <= {MAX_EXACT_VERTICES}")
     if not 1 <= args.j <= graph.n:
         raise _UsageError(f"j must be in [1, {graph.n}], got {args.j}")
     report = run_pipeline(graph, args.j, budget=args.budget, seed=args.seed)
@@ -412,7 +406,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("alpha", help="exact maximum independent set")
     p.add_argument("graph")
-    p.add_argument("--node-budget", type=_positive_int, default=100_000_000)
+    p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
+                   help="threshold-tree nodes the search may visit")
     _add_common(p)
     p.set_defaults(func=cmd_alpha)
 
@@ -505,7 +500,8 @@ def _main(argv) -> int:
     try:
         return args.func(args)
     except (_UsageError, BudgetExceeded, DomainError) as exc:
-        # only alpha's --node-budget can run out (no answer, as with UNKNOWN);
+        # only the exact alpha of alpha and pipeline can run out of nodes or
+        # recursion depth (no answer, as with UNKNOWN);
         # argument values are validated before work starts, so a domain
         # failure means malformed input data or an unreadable input file
         print(f"mpoly: {exc}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Ground-truth graph machinery.
 
-Exact maximum independent set by budgeted branch and bound; a capped
-search for a partition of the vertices into at most j cliques (which
-proves alpha <= j) with an independent exact checker; one capped branch
+A capped search for a partition of the vertices into at most j cliques
+(which proves alpha <= j) with an independent exact checker; one branch
 and bound, :func:`decide_threshold`, that either finds an independent set
 of more than j vertices or builds a tree of such partitions that proves
-alpha <= j, with an independent integer checker for the tree; and a
+alpha <= j, with an independent integer checker for the tree, and that
+:func:`max_independent_set` climbs to an exact alpha with both; and a
 multi-start projected-gradient minimizer for the quadratic form
 y' (I + C) y over the probability simplex, whose global minimum equals
 1/alpha(G). The minimizer descends Bomze's regularised form
@@ -34,7 +34,6 @@ from .errors import BudgetExceeded, DimensionMismatch, DomainError
 from .reduction import Graph
 from .simplex import SimplexPoint, project_rows_to_simplex, sample_simplex_rows
 
-MAX_EXACT_VERTICES = 30
 DEFAULT_NODE_BUDGET = 100_000_000
 STATIONARITY_TOL = 1e-10
 # nodes the clique-cover search and the threshold tree may each visit
@@ -46,7 +45,8 @@ CLIQUE_COVER_NODE_CAP = 10_000
 class IndependentSetResult:
     alpha: int
     witness: frozenset
-    node_count: int
+    node_count: int  # threshold-tree nodes over every decision of the climb
+    proof: object  # a tree that is_threshold_proof accepts at alpha
 
 
 def _members(mask: int) -> list[int]:
@@ -56,10 +56,16 @@ def _members(mask: int) -> list[int]:
 
 def _greedy_seed(masks: list[int], avail: int) -> int:
     """Min-degree greedy independent set of the vertices in the mask
-    `avail`, as a pruning seed (returns a mask)."""
+    `avail`, ties to the lowest vertex, as a pruning seed (returns a mask)."""
     chosen = 0
     while avail:
-        v = min(_members(avail), key=lambda u: (bin(masks[u] & avail).count("1"), u))
+        v, low, rest = -1, avail.bit_length(), avail  # no degree reaches low
+        while rest and low:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            degree = (masks[u] & avail).bit_count()
+            if degree < low:
+                v, low = u, degree
         chosen |= 1 << v
         avail &= ~(masks[v] | 1 << v)
     return chosen
@@ -68,40 +74,26 @@ def _greedy_seed(masks: list[int], avail: int) -> int:
 def max_independent_set(
     g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> IndependentSetResult:
-    """Exact maximum independent set for graphs on at most 30 vertices.
+    """Exact maximum independent set, with a tree that proves it maximum.
 
-    Branch and bound over vertex inclusion: branch on the highest-degree
-    available vertex, prune with the remaining-vertices bound, keep the
-    first optimum found. Deterministic for a given graph.
+    Climbs :func:`decide_threshold`'s branch and bound from j = the size of
+    the greedy set: each set of more than j vertices found raises j to its
+    size, and the first proof, which :func:`is_threshold_proof` accepts,
+    ends the climb at alpha = j. Raises BudgetExceeded once the tree nodes
+    summed over the climb pass `node_budget` or the search recurses past
+    Python's recursion limit. Deterministic for a given graph.
     """
-    n = g.n
-    if n > MAX_EXACT_VERTICES:
-        raise DomainError(f"exact search supports n <= {MAX_EXACT_VERTICES}, got {n}")
     masks = g.neighbor_masks()
-    best_mask = _greedy_seed(masks, (1 << n) - 1)
-    best = bin(best_mask).count("1")
-    nodes = 0
-
-    def walk(avail: int, size: int, chosen: int) -> None:
-        nonlocal nodes, best, best_mask
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(f"exceeded node budget {node_budget}")
-        if size + bin(avail).count("1") <= best:
-            return
-        if avail == 0:
-            best = size
-            best_mask = chosen
-            return
-        v = max(_members(avail), key=lambda u: (bin(masks[u] & avail).count("1"), -u))
-        walk(avail & ~(masks[v] | 1 << v), size + 1, chosen | 1 << v)
-        walk(avail & ~(1 << v), size, chosen)
-
-    full = (1 << n) - 1
-    if best < n:
-        walk(full, 0, 0)
-    witness = frozenset(_members(best_mask))
-    return IndependentSetResult(alpha=best, witness=witness, node_count=nodes)
+    full = (1 << g.n) - 1
+    best, proof, counter = _greedy_seed(masks, full), None, [0]
+    try:
+        while proof is None:
+            found, proof = _decide(masks, full, best.bit_count(), node_budget, counter)
+            best = found or best
+    except RecursionError:
+        raise BudgetExceeded("exceeded the recursion limit") from None
+    return IndependentSetResult(best.bit_count(), frozenset(_members(best)),
+                                counter[0], proof)
 
 
 def clique_cover(g: Graph, j: int) -> tuple[tuple[int, ...], ...] | None:
@@ -149,16 +141,21 @@ def _clique_partition(
             return False
         if not uncovered:
             return True
-        reach = 0
+        reach = shared = 0  # vertices that at least one, two parts can take
         for can in joinable:
+            shared |= reach & can
             reach |= can
         lonely = uncovered & ~reach
+        single = uncovered & reach & ~shared
         if lonely:
             v = (lonely & -lonely).bit_length() - 1
             options = []
+        elif single:
+            v = (single & -single).bit_length() - 1
+            options = [p for p, can in enumerate(joinable) if can >> v & 1]
         else:
             # the fewest parts to join, ties to the lowest vertex; every
-            # vertex has at least one, so the first with one ends the scan
+            # vertex has at least two, so the first with two ends the scan
             v, options = -1, None
             rest = uncovered
             while rest:
@@ -167,7 +164,7 @@ def _clique_partition(
                 parts = [p for p, can in enumerate(joinable) if can >> u & 1]
                 if options is None or len(parts) < len(options):
                     v, options = u, parts
-                    if len(parts) == 1:
+                    if len(parts) == 2:
                         break
         bit = 1 << v
         for p in options:
@@ -258,36 +255,37 @@ def decide_threshold(g: Graph, j: int):
     :func:`clique_cover` finds.
     """
     masks = g.neighbor_masks()
-    nodes = 0
-
-    def decide(avail: int, t: int):
-        # (a refuting independent set as a mask, None) or (None, a proof)
-        nonlocal nodes
-        nodes += 1
-        if nodes > CLIQUE_COVER_NODE_CAP:
-            raise BudgetExceeded(f"exceeded node cap {CLIQUE_COVER_NODE_CAP}")
-        seed = _greedy_seed(masks, avail)
-        if seed.bit_count() > t:
-            return seed, None
-        parts = _clique_partition(masks, avail, t, seed)
-        if parts is not None:
-            return None, parts
-        v = max(_members(avail), key=lambda u: ((masks[u] & avail).bit_count(), -u))
-        found, with_vertex = decide(avail & ~(masks[v] | 1 << v), t - 1)
-        if found is not None:
-            return found | 1 << v, None
-        found, without_vertex = decide(avail & ~(1 << v), t)
-        if found is not None:
-            return found, None
-        return None, Branch(v, with_vertex, without_vertex)
-
     try:
-        found, proof = decide((1 << g.n) - 1, j)
+        found, proof = _decide(masks, (1 << g.n) - 1, j, CLIQUE_COVER_NODE_CAP, [0])
     except (BudgetExceeded, RecursionError):
         return None
     if found is None:
         return "proof", proof
     return "witness", tuple(_members(found))
+
+
+def _decide(masks: list[int], avail: int, t: int, cap: int, counter: list[int]):
+    """The node (avail, t) of :func:`decide_threshold`'s tree: (a refuting
+    independent set as a mask, None) or (None, a proof). `counter` holds
+    the tree nodes visited so far; BudgetExceeded once it passes `cap`."""
+    counter[0] += 1
+    if counter[0] > cap:
+        raise BudgetExceeded(f"exceeded node budget {cap}")
+    seed = _greedy_seed(masks, avail)
+    if seed.bit_count() > t:
+        return seed, None
+    parts = _clique_partition(masks, avail, t, seed)
+    if parts is not None:
+        return None, parts
+    v = max(_members(avail), key=lambda u: ((masks[u] & avail).bit_count(), -u))
+    found, with_vertex = _decide(masks, avail & ~(masks[v] | 1 << v), t - 1, cap,
+                                 counter)
+    if found is not None:
+        return found | 1 << v, None
+    found, without_vertex = _decide(masks, avail & ~(1 << v), t, cap, counter)
+    if found is not None:
+        return found, None
+    return None, Branch(v, with_vertex, without_vertex)
 
 
 def is_threshold_proof(g: Graph, tree, j: int) -> bool:

@@ -694,8 +694,8 @@ def minimize_spectral_radius(
     exact point is returned and the minimum radius is
     ((1 - 1/j) + sqrt((1 - 1/j)^2 + 4/alpha)) / 2, below 1 iff alpha > j.
     Every other family, and a gadget family whose maximum independent set
-    :func:`oracle.max_independent_set` refuses (n > 30, or its node budget
-    runs out), takes the multi-start descent of :func:`_descend_spectral`,
+    :func:`oracle.max_independent_set` does not find (its node budget runs
+    out), takes the multi-start descent of :func:`_descend_spectral`,
     whose best point is a local minimum only, so "radius below one" is
     then proven only by certifying I minus the combination. Raises
     DomainError for a negative entry or a budget below 1.
@@ -716,8 +716,8 @@ def minimize_spectral_radius(
         if found is not None:
             try:
                 independent = max_independent_set(found[0]).witness
-            except (DomainError, BudgetExceeded):
-                pass  # n > 30, or the node budget ran out: take the descent
+            except BudgetExceeded:
+                pass  # take the descent
             else:
                 point = witness_from_independent_set(found[0], independent)
     if point is None:

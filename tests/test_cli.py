@@ -201,8 +201,9 @@ class TestOracleCommands:
         assert len(payload["witness"]) == 2
 
     def test_alpha_node_budget_exhausted_exit_two(self, tmp_path):
-        path = tmp_path / "c8.col"
-        path.write_text(write_graph(corpus.cycle(8)))
+        # a 5-node threshold tree proves alpha(Petersen) <= 4
+        path = tmp_path / "petersen.col"
+        path.write_text(write_graph(corpus.petersen()))
         res = mpoly_cmd("alpha", str(path), "--node-budget", "3", "--json")
         assert res.returncode == 2
         assert res.stdout == ""
@@ -484,12 +485,15 @@ class TestPipelineCommand:
             assert payload["search"]["status"] == status
             assert payload["search"]["budget_spent"] == 0
 
-    def test_oversized_graph_usage_error(self, tmp_path):
-        # one vertex past the exact oracle's limit
-        path = tmp_path / "big.col"
-        path.write_text("p edge 31 0\n")
-        res = mpoly_cmd("pipeline", str(path), "1")
-        assert res.returncode == 64
+    def test_thirty_one_vertex_graph_agrees(self, tmp_path):
+        g = corpus.gnp(31, 0.5, 3)
+        path = tmp_path / "g31.col"
+        path.write_text(write_graph(g))
+        alpha = max_independent_set(g).alpha
+        res = mpoly_cmd("pipeline", str(path), str(alpha), "--json")
+        assert res.returncode == 0
+        payload = json.loads(res.stdout)
+        assert payload["verdict"] == "AGREE" and payload["alpha"] == alpha
 
 
 # a Z-matrix family that is never a nonsingular M-matrix: the search

@@ -98,12 +98,34 @@ class TestMaxIndependentSet:
         assert first == second
 
     def test_node_budget(self):
+        # C8 is a one-node proof (four edges); Petersen needs a 5-node tree
+        assert max_independent_set(corpus.cycle(8), node_budget=1).node_count == 1
         with pytest.raises(BudgetExceeded):
-            max_independent_set(corpus.cycle(8), node_budget=3)
+            max_independent_set(corpus.petersen(), node_budget=3)
 
-    def test_size_cap(self):
-        with pytest.raises(DomainError):
-            max_independent_set(corpus.empty(31))
+    def test_forty_vertices_with_a_proof(self):
+        g = corpus.gnp(40, 0.5, 3)
+        res = max_independent_set(g)
+        assert res.alpha == 7 and len(res.witness) == 7
+        assert is_independent(g, res.witness)
+        assert is_threshold_proof(g, res.proof, 7)
+        assert not is_threshold_proof(g, res.proof, 6)
+
+    def test_recursion_limit_is_a_spent_budget(self):
+        # the partition search recurses once per placed vertex
+        with pytest.raises(BudgetExceeded):
+            max_independent_set(corpus.complete(1100))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 9), p=st.sampled_from(corpus.GNP_P_CYCLE),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gnp_property(self, n, p, seed):
+        g = corpus.gnp(n, p, seed)
+        res = max_independent_set(g)
+        assert res.alpha == corpus.exhaustive_alpha(g)
+        assert len(res.witness) == res.alpha and is_independent(g, res.witness)
+        assert is_threshold_proof(g, res.proof, res.alpha)
+        assert not is_threshold_proof(g, res.proof, res.alpha - 1)
 
 
 def cover_number(g: Graph) -> int:
@@ -202,8 +224,8 @@ class TestDecideThreshold:
             assert not is_threshold_proof(g, tree, j - 1)
 
     def test_graphs_past_the_exact_cap_are_decided(self):
-        # 40 vertices, over max_independent_set's n <= 30: a witness of 7
-        # vertices at j = 6, and a 39-node tree at j = 7, so alpha = 7
+        # 40 vertices: a witness of 7 vertices at j = 6, and a 39-node tree
+        # at j = 7, so alpha = 7
         g = corpus.gnp(40, 0.5, 3)
         kind, witness = decide_threshold(g, 6)
         assert kind == "witness" and len(witness) == 7

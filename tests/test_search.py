@@ -477,7 +477,7 @@ class TestThresholdTree:
         assert out == search_general(gadgets, seed=0)
 
     def test_family_past_thirty_vertices_is_decided(self, monkeypatch):
-        # 40 vertices with alpha = 7, over max_independent_set's n <= 30
+        # 40 vertices with alpha = 7, decided with no exact alpha
         lp_calls = count_linprog(monkeypatch)
         monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
         g = corpus.gnp(40, 0.5, 3)
@@ -761,6 +761,17 @@ class TestMinimizeSpectralRadius:
                 # uniform on the support, which must be independent
                 assert pt == witness_from_independent_set(g, support)
                 assert (rho < 1 - 1e-9) == (alpha > j), (g, j)
+        assert descents == []
+
+    def test_forty_vertex_gadget_parts_take_no_descent(self, monkeypatch):
+        descents = count_descents(monkeypatch)
+        g = corpus.gnp(40, 0.5, 3)
+        pt, rho = minimize_spectral_radius(nonneg_parts(g, 7), seed=0)
+        support = [v for v, w in enumerate(pt.weights) if w]
+        assert len(support) == 7
+        assert pt == witness_from_independent_set(g, support)
+        assert rho == pytest.approx((6 / 7 + math.sqrt((6 / 7) ** 2 + 4 / 7)) / 2,
+                                    rel=0, abs=1e-12)
         assert descents == []
 
     def test_other_families_take_the_descent(self, monkeypatch):
