@@ -48,10 +48,8 @@ from .oracle import (
     IndependentSetResult,
     MSolveResult,
     alpha_lower_bound,
-    clique_cover,
     decide_threshold,
     extract_independent_set,
-    is_clique_cover,
     is_threshold_proof,
     max_independent_set,
     motzkin_straus_min,

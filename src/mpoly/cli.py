@@ -2,7 +2,11 @@
 
 Subcommands: certify, reduce, combine, alpha, ms-solve, search, radius-min,
 hurwitz-search, pipeline. Structured output is JSON (--json); the default is
-a short human summary. Exit codes: searches use 0 FEASIBLE, 1 INFEASIBLE,
+a short human summary. Every proof of alpha <= t in JSON is one threshold
+tree with 1-based vertices, a list of clique parts at a leaf and
+{"vertex", "with", "without"} at a branch: ``proof`` of alpha, at t =
+alpha, and ``threshold_proof.tree`` of an INFEASIBLE gadget search, at
+t = j. Exit codes: searches use 0 FEASIBLE, 1 INFEASIBLE,
 2 UNKNOWN; certify uses 0 YES, 1 NO, 2 MARGINAL or DISAGREE; alpha uses 2
 when its --node-budget runs out or its search recurses past Python's
 limit; 64 usage error (an -o path that cannot be
@@ -33,6 +37,7 @@ from .linalg import Matrix, matrices_from_json, matrices_to_json
 from .mmatrix import certify
 from .oracle import (
     DEFAULT_NODE_BUDGET,
+    _tree_json,
     alpha_lower_bound,
     extract_independent_set,
     max_independent_set,
@@ -93,14 +98,21 @@ def _load_matrices(
     """
     text = _read_text(path)
     try:
-        mats = [Matrix.loads(text)] if single else matrices_from_json(text)
         if backing == "exact":
+            # one parse, with no float copy that an entry past the float64
+            # range would fail; each object still takes from_json_dict's checks
             payload = json.loads(text, parse_float=Fraction)
             objs = [payload] if single else payload
-            mats = [Matrix.exact(obj["entries"]) for obj in objs]
+            if not isinstance(objs, list) or not objs:
+                raise DomainError("expected a non-empty JSON array of matrices")
+            mats = [Matrix.from_json_dict({**obj, "exact": True}
+                                          if isinstance(obj, dict) else obj)
+                    for obj in objs]
+        else:
+            mats = [Matrix.loads(text)] if single else matrices_from_json(text)
         if backing == "float":
             mats = [m.to_float() for m in mats]
-    except ValueError as exc:  # DomainError included
+    except ValueError as exc:  # DomainError and JSONDecodeError included
         raise DomainError(f"{path}: {exc}") from exc
     return mats
 
@@ -185,6 +197,7 @@ def cmd_alpha(args) -> int:
         "alpha": result.alpha,
         "witness": witness,
         "node_count": result.node_count,
+        "proof": _tree_json(result.proof),
     }
     _emit(
         args,
@@ -434,8 +447,8 @@ def build_parser() -> _Parser:
         help="search for an M-matrix combination; an exact gadget family is "
         "answered from its graph by one branch and bound, FEASIBLE from an "
         "independent set of more than j vertices or INFEASIBLE from a "
-        "re-checked threshold tree (JSON clique_cover or threshold_proof), "
-        "as mpoly.search.search_general documents",
+        "re-checked threshold tree (JSON threshold_proof, a clique partition "
+        "when the tree is one leaf), as mpoly.search.search_general documents",
     )
     p.add_argument("matrices")
     p.add_argument("--symmetric", action="store_true", help="certified convex path")

@@ -1,11 +1,12 @@
 """Ground-truth graph machinery.
 
-A capped search for a partition of the vertices into at most j cliques
-(which proves alpha <= j) with an independent exact checker; one branch
-and bound, :func:`decide_threshold`, that either finds an independent set
-of more than j vertices or builds a tree of such partitions that proves
-alpha <= j, with an independent integer checker for the tree, and that
-:func:`max_independent_set` climbs to an exact alpha with both; and a
+One branch and bound, :func:`decide_threshold`, that either finds an
+independent set of more than j vertices or builds a tree of clique
+partitions that proves alpha <= j, where a partition of the vertices into
+at most j cliques is the one-leaf tree; an independent integer checker
+for the tree, :func:`is_threshold_proof`, and its JSON form; the climb of
+:func:`max_independent_set` on that branch and bound to an exact alpha
+with both; and a
 multi-start projected-gradient minimizer for the quadratic form
 y' (I + C) y over the probability simplex, whose global minimum equals
 1/alpha(G). The minimizer descends Bomze's regularised form
@@ -36,8 +37,8 @@ from .simplex import SimplexPoint, project_rows_to_simplex, sample_simplex_rows
 
 DEFAULT_NODE_BUDGET = 100_000_000
 STATIONARITY_TOL = 1e-10
-# nodes the clique-cover search and the threshold tree may each visit
-# before they give up undecided
+# nodes the partition search at one tree node, and the threshold tree, may
+# each visit before they give up undecided
 CLIQUE_COVER_NODE_CAP = 10_000
 
 
@@ -96,36 +97,23 @@ def max_independent_set(
                                 counter[0], proof)
 
 
-def clique_cover(g: Graph, j: int) -> tuple[tuple[int, ...], ...] | None:
-    """A partition of the vertices of g into at most j cliques, or None.
-
-    A vertex set independent in g meets every clique at most once, so when
-    the greedy independent set of ``_greedy_seed`` has more than j vertices
-    no such partition exists and the search is skipped. Otherwise each
-    vertex of that set opens its own part, which breaks the symmetry
-    between parts, and a backtracking search over neighbour masks places
-    the rest: a vertex that no part can take opens a new one, and otherwise
-    the vertex with the fewest parts to join is tried in each of them, then
-    in a new part. None also when no partition exists or when the search
-    visits more than CLIQUE_COVER_NODE_CAP nodes or recurses past Python's
-    recursion limit (one level per placed vertex). Parts are sorted
-    tuples, ordered by their smallest vertex. Check a result with
-    :func:`is_clique_cover`.
-    """
-    masks = g.neighbor_masks()
-    full = (1 << g.n) - 1
-    try:
-        return _clique_partition(masks, full, j, _greedy_seed(masks, full))
-    except RecursionError:
-        return None
-
-
 def _clique_partition(
     masks: list[int], within: int, j: int, seed: int
 ) -> tuple[tuple[int, ...], ...] | None:
-    """:func:`clique_cover` of the vertices in the mask `within`, with its
-    seeds, the independent set `seed` inside `within` (a mask), given;
-    None at once when `seed` has more than j vertices."""
+    """A partition of the vertices in the mask `within` into at most j
+    cliques, or None.
+
+    `seed` is an independent set inside `within` (a mask). It meets every
+    clique at most once, so None at once when it has more than j vertices.
+    Otherwise each of its vertices opens its own part, which breaks the
+    symmetry between parts, and a backtracking search over neighbour masks
+    places the rest: a vertex that no part can take opens a new one, and
+    otherwise the vertex with the fewest parts to join is tried in each of
+    them, then in a new part. None also when no partition exists or when
+    the search visits more than CLIQUE_COVER_NODE_CAP nodes; it recurses
+    once per placed vertex. Parts are sorted tuples, ordered by their
+    smallest vertex.
+    """
     seeds = _members(seed)
     if len(seeds) > j:
         return None
@@ -189,41 +177,6 @@ def _clique_partition(
     return tuple(sorted(tuple(_members(mask)) for mask in members))
 
 
-def _is_partition(masks: list[int], parts, within: int, t: int) -> bool:
-    """The leaf clause of :func:`is_threshold_proof`: `parts` are at most t
-    cliques that hold every vertex in the mask `within` exactly once and
-    no other vertex."""
-    if len(parts) > t:
-        return False
-    seen = 0
-    for part in parts:
-        clique = 0
-        for u in part:
-            if not 0 <= u < len(masks):
-                return False
-            bit = 1 << u
-            if seen & bit or masks[u] & clique != clique:
-                return False
-            clique |= bit
-            seen |= bit
-    return seen == within
-
-
-def is_clique_cover(g: Graph, parts, j: int) -> bool:
-    """True when `parts` partition the vertices of g into at most j cliques.
-
-    Checks, in O(n^2) and independently of :func:`clique_cover`, that there
-    are at most j parts, that every vertex of g lies in exactly one part,
-    and that the vertices of each part are pairwise adjacent: the leaf
-    clause of :func:`is_threshold_proof`, so a partition is the one-leaf
-    threshold proof. Such a partition proves alpha(G) <= j, and for the
-    gadget family at threshold j it proves that no convex combination is a
-    nonsingular M-matrix: by Cauchy-Schwarz pi'(I + C)pi >= sum over parts
-    K of pi(K)^2 >= 1/j, so det B(pi) = 1/j - pi'(I + C)pi <= 0.
-    """
-    return _is_partition(g.neighbor_masks(), parts, (1 << g.n) - 1, j)
-
-
 @dataclass(frozen=True)
 class Branch:
     """An inner node of a threshold proof: at the claim alpha(G[A]) <= t,
@@ -246,13 +199,13 @@ def decide_threshold(g: Graph, j: int):
     recursion limit. A node (A, t) claims alpha(G[A]) <= t, and the root
     is (V, j). The greedy independent set S of ``_greedy_seed`` on G[A]
     refutes the node when it has more than t vertices. Otherwise the
-    partition search of :func:`clique_cover`, seeded with S, makes the
+    partition search ``_clique_partition``, seeded with S, makes the
     node a leaf when it partitions A into at most t cliques. Otherwise the
     node branches on the vertex v of A with the most neighbours in A (ties
     to the lowest), into (A - N[v], t - 1) and then (A - v, t): a refuting
     set of the first child plus v, or one of the second, refutes the node.
-    So the root tries exactly the greedy set and then the partition that
-    :func:`clique_cover` finds.
+    So the root tries exactly the greedy set and then a partition of V
+    into at most j cliques, the one-leaf proof.
     """
     masks = g.neighbor_masks()
     try:
@@ -297,27 +250,50 @@ def is_threshold_proof(g: Graph, tree, j: int) -> bool:
     ``with_vertex`` tree to prove alpha(G[A - N[v]]) <= t - 1 and its
     ``without_vertex`` tree to prove alpha(G[A - v]) <= t; this holds since
     alpha(G[A]) is the larger of alpha(G[A - N[v]]) + 1 and
-    alpha(G[A - v]). Every other node is a leaf and needs the clause of
-    :func:`is_clique_cover` on A: at most t parts, each a clique, that hold
-    every vertex of A exactly once and no other vertex. For the gadget
-    family at threshold j, a tree proves that no convex combination is a
-    nonsingular M-matrix only together with the Motzkin-Straus theorem:
-    min over the simplex of pi'(I + C)pi = 1/alpha >= 1/j, so
-    det B(pi) = 1/j - pi'(I + C)pi <= 0. A one-leaf tree, a partition,
-    needs only Cauchy-Schwarz.
+    alpha(G[A - v]). Every other node is a leaf, a partition of A into
+    cliques, and needs at most t parts, each a clique, that hold every
+    vertex of A exactly once and no other vertex. For the gadget family at
+    threshold j, a tree proves that no convex combination is a nonsingular
+    M-matrix only together with the Motzkin-Straus theorem: min over the
+    simplex of pi'(I + C)pi = 1/alpha >= 1/j, so
+    det B(pi) = 1/j - pi'(I + C)pi <= 0. A one-leaf tree, a partition of
+    the vertices into at most j cliques, needs only Cauchy-Schwarz:
+    pi'(I + C)pi >= sum over parts K of pi(K)^2 >= 1/j.
     """
     masks = g.neighbor_masks()
 
     def holds(node, avail: int, t: int) -> bool:
-        if not isinstance(node, Branch):
-            return _is_partition(masks, node, avail, t)
-        v = node.vertex
-        if not (0 <= v < g.n and avail >> v & 1):
+        if isinstance(node, Branch):
+            v = node.vertex
+            if not (0 <= v < g.n and avail >> v & 1):
+                return False
+            return (holds(node.with_vertex, avail & ~(masks[v] | 1 << v), t - 1)
+                    and holds(node.without_vertex, avail & ~(1 << v), t))
+        if len(node) > t:
             return False
-        return (holds(node.with_vertex, avail & ~(masks[v] | 1 << v), t - 1)
-                and holds(node.without_vertex, avail & ~(1 << v), t))
+        seen = 0
+        for part in node:
+            clique = 0
+            for u in part:
+                if not 0 <= u < g.n:
+                    return False
+                bit = 1 << u
+                if seen & bit or masks[u] & clique != clique:
+                    return False
+                clique |= bit
+                seen |= bit
+        return seen == avail
 
     return holds(tree, (1 << g.n) - 1, j)
+
+
+def _tree_json(tree):
+    """A threshold proof with 1-based vertices, as in graph files: a leaf is
+    its list of parts, a branch ``{"vertex": v, "with": ..., "without": ...}``."""
+    if isinstance(tree, Branch):
+        return {"vertex": tree.vertex + 1, "with": _tree_json(tree.with_vertex),
+                "without": _tree_json(tree.without_vertex)}
+    return [[v + 1 for v in part] for part in tree]
 
 
 @dataclass(frozen=True)

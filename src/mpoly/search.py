@@ -9,7 +9,8 @@ family from G when it can:
 * :func:`search_general` answers a gadget family by one gadget decision,
   the branch and bound :func:`oracle.decide_threshold`, which finds an
   independent set of more than j vertices (FEASIBLE) or a tree of clique
-  partitions that proves alpha <= j (INFEASIBLE), as its docstring sets
+  partitions that proves alpha <= j (INFEASIBLE, in ``threshold_proof``,
+  which holds a partition when the tree is one leaf), as its docstring sets
   out; every other family, and a gadget family that the decision leaves
   to it, takes a multi-start projected ascent on the smallest leading
   principal minor (an exact M-matrix margin that needs no eigensolves),
@@ -71,6 +72,7 @@ from .linalg import Matrix, Z_SLACK, _encode_scalar, leading_minors_batch
 from .mmatrix import CONSENSUS_YES, certify
 from .oracle import (
     Branch,
+    _tree_json,
     decide_threshold,
     is_threshold_proof,
     max_independent_set,
@@ -113,17 +115,16 @@ class SearchOutcome:
     certificate: SimplexPoint | None
     budget_spent: int
     margins: dict | None = None
-    # an INFEASIBLE gadget family's partition of the vertices (0-based) into
-    # at most j cliques
-    clique_cover: tuple | None = None
-    # or its deeper tree of oracle.is_threshold_proof, a proof of alpha <= j
-    # that rests on the Motzkin-Straus theorem
-    threshold_proof: Branch | None = None
+    # an INFEASIBLE gadget family's tree of oracle.is_threshold_proof, a
+    # proof of alpha <= j (0-based): a partition of the vertices into at most
+    # j cliques, or a Branch
+    threshold_proof: tuple | Branch | None = None
 
     def to_json_dict(self) -> dict:
-        """The JSON fields; ``clique_cover`` and ``threshold_proof`` (1-based
-        vertices, as in graph files) appear only when the outcome carries
-        one."""
+        """The JSON fields; ``threshold_proof`` appears only when the outcome
+        carries one, as its tree (1-based, see ``oracle._tree_json``) and
+        what it rests on: Cauchy-Schwarz for a partition, the
+        Motzkin-Straus theorem for a deeper tree."""
         cert = None if self.certificate is None else self.certificate.to_json_list()
         margins = None
         if self.margins is not None:
@@ -134,23 +135,13 @@ class SearchOutcome:
             "margins": margins,
             "budget_spent": self.budget_spent,
         }
-        if self.clique_cover is not None:
-            out["clique_cover"] = [[v + 1 for v in part] for part in self.clique_cover]
         if self.threshold_proof is not None:
+            deep = isinstance(self.threshold_proof, Branch)
             out["threshold_proof"] = {
                 "tree": _tree_json(self.threshold_proof),
-                "rests_on": "Motzkin-Straus theorem",
+                "rests_on": "Motzkin-Straus theorem" if deep else "Cauchy-Schwarz",
             }
         return out
-
-
-def _tree_json(tree):
-    """A threshold proof with 1-based vertices: a leaf is its list of parts,
-    a branch ``{"vertex": v, "with": ..., "without": ...}``."""
-    if isinstance(tree, Branch):
-        return {"vertex": tree.vertex + 1, "with": _tree_json(tree.with_vertex),
-                "without": _tree_json(tree.without_vertex)}
-    return [[v + 1 for v in part] for part in tree]
 
 
 def _validate_family(mats: Sequence[Matrix]) -> int:
@@ -201,11 +192,11 @@ class _Tracker:
         return max(self.budget - self.spent, 0)
 
     def outcome(
-        self, status, certificate=None, margins=None, **cover
+        self, status, certificate=None, margins=None, proof=None
     ) -> SearchOutcome:
-        """The outcome at the evaluations counted so far; `cover` is an
-        INFEASIBLE answer's ``clique_cover`` or ``threshold_proof``."""
-        return SearchOutcome(status, certificate, self.spent, margins, **cover)
+        """The outcome at the evaluations counted so far; `proof` is an
+        INFEASIBLE answer's ``threshold_proof``."""
+        return SearchOutcome(status, certificate, self.spent, margins, proof)
 
 
 def _certified(mats: Sequence[Matrix], point: SimplexPoint):
@@ -295,8 +286,7 @@ def _gadget_answer(gadgets: Sequence[Matrix]) -> SearchOutcome | None:
     if kind == "proof":
         if not is_threshold_proof(g, found, j):
             return None
-        field = "threshold_proof" if isinstance(found, Branch) else "clique_cover"
-        return decided.outcome(SearchStatus.INFEASIBLE, **{field: found})
+        return decided.outcome(SearchStatus.INFEASIBLE, proof=found)
     point = witness_from_independent_set(g, found)
     report = _certified(gadgets, point)
     if report is None:
@@ -315,26 +305,16 @@ def search_general(
     reduction det B(pi) = 1/j - pi'(I + C)pi, whose greatest value over
     the simplex is 1/j - 1/alpha (Motzkin-Straus), so some combination is
     a nonsingular M-matrix iff alpha(G) > j. The decision is one call of
-    :func:`oracle.decide_threshold`, a branch and bound whose nodes
-    (A, t) claim alpha(G[A]) <= t:
-
-    1. At each node the min-degree greedy independent set S of G[A]
-       refutes the claim when it has more than t vertices. Otherwise the
-       partition search of :func:`oracle.clique_cover`, seeded with S,
-       makes the node a leaf when it splits A into at most t cliques.
-       Otherwise the node branches on the vertex v of A with the most
-       neighbours in A, into (A - N[v], t - 1) and (A - v, t).
-    2. A refuted root gives an independent set of more than j vertices:
-       FEASIBLE at the uniform exact point on it, once :func:`_certified`
-       accepts it. A reader can check that its support is independent in
-       O(n^2). The greedy set of G, the root's, is the witness whenever it
-       is large enough.
-    3. A proven root gives a tree that :func:`oracle.is_threshold_proof`
-       re-checks in integers: INFEASIBLE. A one-leaf tree is a partition
-       of the vertices into at most j cliques, in ``clique_cover``; it
-       proves det B(pi) <= 0 for every pi by Cauchy-Schwarz. A deeper tree
-       goes in ``threshold_proof``; it proves alpha <= j, and det B(pi) <= 0
-       follows by Motzkin-Straus. Petersen at j = 4 takes a 5-node tree.
+    :func:`oracle.decide_threshold`, whose docstring gives the rules of its
+    tree. An independent set of more than j vertices is FEASIBLE at the
+    uniform exact point on it, once :func:`_certified` accepts it; a reader
+    can check that its support is independent in O(n^2). A tree that
+    :func:`oracle.is_threshold_proof` re-checks in integers is INFEASIBLE,
+    in ``threshold_proof``: a one-leaf tree, a partition of the vertices
+    into at most j cliques, proves det B(pi) <= 0 for every pi by
+    Cauchy-Schwarz, and a deeper tree proves alpha <= j, from which
+    det B(pi) <= 0 follows by Motzkin-Straus. Petersen at j = 4 takes a
+    5-node tree.
 
     Every other family takes the search below, which answers FEASIBLE or
     UNKNOWN, and so does a gadget family in two cases: when the tree

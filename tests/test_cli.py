@@ -14,7 +14,6 @@ from mpoly import (
     SearchOutcome,
     SearchStatus,
     build_instance,
-    is_clique_cover,
     is_threshold_proof,
     max_independent_set,
     nonneg_parts,
@@ -191,6 +190,33 @@ class TestCombineCommand:
         assert res.stderr.startswith(f"mpoly: cannot write {out}")
         assert "Traceback" not in res.stderr
 
+    def test_exact_flag_reads_entries_beyond_float64(self, tmp_path):
+        # --exact parses once, as rationals, so 1e400 needs no float copy;
+        # certify needs one and refuses it
+        family = '[{"n":2,"entries":[[1e400,-1],[-1,2]],"exact":false}]'
+        (tmp_path / "family.json").write_text(family)
+        (tmp_path / "one.json").write_text(family[1:-1])
+        res = mpoly_cmd("combine", str(tmp_path / "family.json"), "--weights", "1",
+                        "--exact")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["entries"][0][0] == str(10**400)
+        res = mpoly_cmd("certify", str(tmp_path / "one.json"), "--exact")
+        assert res.returncode == 65
+        assert "beyond the float64 range" in res.stderr
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", "[1]", '[{"n":2}]',
+        '[{"n":2,"entries":[[1,2],[3]],"exact":false}]',
+    ], ids=["invalid-json", "empty-list", "not-an-object", "no-entries",
+            "not-square"])
+    def test_exact_flag_malformed_family_exit_65(self, tmp_path, text):
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        res = mpoly_cmd("combine", str(path), "--weights", "1", "--exact")
+        assert res.returncode == 65
+        assert res.stderr.startswith("mpoly: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
 
 class TestOracleCommands:
     def test_alpha(self, workspace):
@@ -199,6 +225,24 @@ class TestOracleCommands:
         payload = json.loads(res.stdout)
         assert payload["alpha"] == 2
         assert len(payload["witness"]) == 2
+
+    @pytest.mark.parametrize("graph, alpha", [(corpus.cycle(5), 2),
+                                              (corpus.petersen(), 4)],
+                             ids=["C5", "Petersen"])
+    def test_alpha_json_carries_the_proof(self, tmp_path, graph, alpha):
+        # the tree proves alpha <= alpha, and the witness alpha >= alpha
+        path = tmp_path / "g.col"
+        path.write_text(write_graph(graph))
+        res = mpoly_cmd("alpha", str(path), "--json")
+        assert res.returncode == 0
+        payload = json.loads(res.stdout)
+        assert payload["alpha"] == alpha
+        tree = corpus.tree_from_json(payload["proof"])
+        assert is_threshold_proof(graph, tree, alpha)
+        assert not is_threshold_proof(graph, tree, alpha - 1)
+        human = mpoly_cmd("alpha", str(path))
+        assert human.stdout == (f"alpha={alpha}\nwitness={payload['witness']}\n"
+                                f"nodes={payload['node_count']}\n")
 
     def test_alpha_node_budget_exhausted_exit_two(self, tmp_path):
         # a 5-node threshold tree proves alpha(Petersen) <= 4
@@ -296,9 +340,10 @@ class TestSearchCommands:
         payload = json.loads(res.stdout)
         assert payload["status"] == "INFEASIBLE"
         assert payload["budget_spent"] == 0
-        assert payload["clique_cover"] == [[1, 2, 3]]
-        cover = [[v - 1 for v in part] for part in payload["clique_cover"]]
-        assert is_clique_cover(parse_graph(K3_TEXT), cover, 1)
+        assert payload["threshold_proof"] == {
+            "tree": [[1, 2, 3]], "rests_on": "Cauchy-Schwarz"}
+        cover = corpus.tree_from_json(payload["threshold_proof"]["tree"])
+        assert is_threshold_proof(parse_graph(K3_TEXT), cover, 1)
 
     def test_search_petersen_j4_infeasible_exit_one(self, tmp_path):
         # Petersen at j = 4: alpha = j, and no 4 cliques cover it, so the
@@ -315,6 +360,22 @@ class TestSearchCommands:
         assert payload["threshold_proof"]["rests_on"] == "Motzkin-Straus theorem"
         tree = corpus.tree_from_json(payload["threshold_proof"]["tree"])
         assert is_threshold_proof(g, tree, 4)
+
+    @pytest.mark.parametrize("graph, j, rests_on", [
+        (corpus.complete(3), 1, "Cauchy-Schwarz"),
+        (corpus.petersen(), 4, "Motzkin-Straus theorem"),
+    ], ids=["K3", "Petersen"])
+    def test_threshold_proof_round_trips_through_json(self, tmp_path, graph, j,
+                                                      rests_on):
+        path = tmp_path / "family.json"
+        path.write_text(matrices_to_json(build_instance(graph, j).gadgets))
+        res = mpoly_cmd("search", str(path), "--json")
+        assert res.returncode == 1
+        proof = json.loads(res.stdout)["threshold_proof"]
+        assert proof["rests_on"] == rests_on
+        tree = corpus.tree_from_json(proof["tree"])
+        assert is_threshold_proof(graph, tree, j)
+        assert not is_threshold_proof(graph, tree, j - 1)
 
     @pytest.mark.parametrize("gap_tol", ["0", "-1", "nan", "inf"])
     def test_symmetric_gap_tol_must_be_positive_and_finite(self, workspace, gap_tol):
@@ -392,9 +453,10 @@ class TestSearchCommands:
         payload = json.loads(res.stdout)
         assert payload["status"] == "INFEASIBLE"
         assert payload["budget_spent"] == 0
-        cover = [[v - 1 for v in part] for part in payload["clique_cover"]]
-        assert all(1 <= v <= 4 for part in payload["clique_cover"] for v in part)
-        assert is_clique_cover(g, cover, 2)
+        proof = payload["threshold_proof"]
+        assert proof["rests_on"] == "Cauchy-Schwarz"
+        assert all(1 <= v <= 4 for part in proof["tree"] for v in part)
+        assert is_threshold_proof(g, corpus.tree_from_json(proof["tree"]), 2)
 
     def test_hurwitz(self, tmp_path):
         path = tmp_path / "negid.json"
@@ -446,6 +508,13 @@ class TestPipelineCommand:
         assert res.returncode == 0
         assert json.loads(res.stdout)["verdict"] == "AGREE"
 
+    def test_k3_j1_search_proof_round_trips_through_json(self, workspace):
+        res = mpoly_cmd("pipeline", str(workspace / "k3.col"), "1", "--json")
+        proof = json.loads(res.stdout)["search"]["threshold_proof"]
+        assert proof["rests_on"] == "Cauchy-Schwarz"
+        tree = corpus.tree_from_json(proof["tree"])
+        assert is_threshold_proof(parse_graph(K3_TEXT), tree, 1)
+
     def test_identical_config_byte_identical_output(self, workspace):
         args = ("pipeline", str(workspace / "c5.col"), "1", "--json", "--seed", "5")
         assert mpoly_cmd(*args).stdout == mpoly_cmd(*args).stdout
@@ -460,7 +529,8 @@ class TestPipelineCommand:
         report = run_pipeline(corpus.complete(3), 1)
         assert report["verdict"] == "AGREE"
         assert report["search"]["status"] == "INFEASIBLE"
-        assert report["search"]["clique_cover"] == [[1, 2, 3]]
+        assert report["search"]["threshold_proof"] == {
+            "tree": [[1, 2, 3]], "rests_on": "Cauchy-Schwarz"}
 
     def test_infeasible_on_feasible_instance_is_soundness_violation(self, monkeypatch):
         infeasible = SearchOutcome(SearchStatus.INFEASIBLE, None, 0)

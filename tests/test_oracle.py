@@ -18,10 +18,8 @@ from mpoly import (
     Graph,
     SimplexPoint,
     alpha_lower_bound,
-    clique_cover,
     decide_threshold,
     extract_independent_set,
-    is_clique_cover,
     is_threshold_proof,
     max_independent_set,
     motzkin_straus_min,
@@ -138,37 +136,49 @@ def cover_number(g: Graph) -> int:
     raise AssertionError("singletons always partition the vertices")
 
 
+def one_leaf(answer):
+    """The partition of a one-leaf proof from decide_threshold, else None."""
+    if answer is None or answer[0] != "proof" or isinstance(answer[1], Branch):
+        return None
+    return answer[1]
+
+
 class TestCliqueCover:
+    """A partition into at most j cliques is the one-leaf threshold proof."""
+
     # C5 = 0-1-2-3-4-0: alpha 2, but 3 cliques are needed
     C5_COVER = ((0, 1), (2, 3), (4,))
 
     def test_known_graphs(self):
         c5 = corpus.cycle(5)
-        assert clique_cover(c5, 2) is None
-        assert is_clique_cover(c5, clique_cover(c5, 3), 3)
-        assert clique_cover(corpus.complete(4), 1) == ((0, 1, 2, 3),)
-        assert clique_cover(corpus.empty(4), 3) is None
-        assert clique_cover(corpus.empty(4), 4) == ((0,), (1,), (2,), (3,))
-        assert clique_cover(corpus.petersen(), 4) is None
-        assert is_clique_cover(corpus.petersen(), clique_cover(corpus.petersen(), 5), 5)
+        assert isinstance(decide_threshold(c5, 2)[1], Branch)
+        assert is_threshold_proof(c5, one_leaf(decide_threshold(c5, 3)), 3)
+        assert decide_threshold(corpus.complete(4), 1) == ("proof", ((0, 1, 2, 3),))
+        assert decide_threshold(corpus.empty(4), 3)[0] == "witness"
+        assert decide_threshold(corpus.empty(4), 4) == ("proof", ((0,), (1,), (2,), (3,)))
+        assert isinstance(decide_threshold(corpus.petersen(), 4)[1], Branch)
+        cover = one_leaf(decide_threshold(corpus.petersen(), 5))
+        assert is_threshold_proof(corpus.petersen(), cover, 5)
 
     def test_matches_brute_force_cover_number(self):
+        # decide_threshold returns a one-leaf proof iff j >= theta(G)
         for g in corpus.small_graphs(5) + corpus.gnp_samples((6,), 15):
             theta = cover_number(g)
             for j in range(1, g.n + 1):
-                cover = clique_cover(g, j)
+                cover = one_leaf(decide_threshold(g, j))
                 assert (cover is not None) == (j >= theta), (g, j)
                 if cover is not None:
-                    assert is_clique_cover(g, cover, j)
+                    assert is_threshold_proof(g, cover, j)
                     assert list(cover) == sorted(cover)
 
     def test_node_cap_gives_none(self, monkeypatch):
+        # the partition search at the root needs more than one node
         monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 1)
-        assert clique_cover(corpus.cycle(5), 3) is None
+        assert decide_threshold(corpus.cycle(5), 3) is None
 
     def test_checker_accepts_a_valid_cover(self):
-        assert is_clique_cover(corpus.cycle(5), self.C5_COVER, 3)
-        assert is_clique_cover(corpus.cycle(5), [list(p) for p in self.C5_COVER], 4)
+        assert is_threshold_proof(corpus.cycle(5), self.C5_COVER, 3)
+        assert is_threshold_proof(corpus.cycle(5), [list(p) for p in self.C5_COVER], 4)
 
     # each mutation breaks one clause of the checker and keeps the others
     @pytest.mark.parametrize("parts, j", [
@@ -180,7 +190,7 @@ class TestCliqueCover:
         (((0, 1), (2, 3), (4,), (5,)), 4),  # vertex 5 is not in the graph
     ])
     def test_checker_rejects_mutations(self, parts, j):
-        assert not is_clique_cover(corpus.cycle(5), parts, j)
+        assert not is_threshold_proof(corpus.cycle(5), parts, j)
 
 
 def tree_nodes(tree) -> int:
@@ -205,19 +215,11 @@ class TestDecideThreshold:
                     largest = max(largest, tree_nodes(found))
         assert largest == 5
 
-    def test_root_is_the_partition_of_clique_cover(self):
-        for g in corpus.small_graphs(5):
-            for j in range(1, g.n + 1):
-                cover = clique_cover(g, j)
-                if cover is not None:
-                    assert decide_threshold(g, j) == ("proof", cover), (g, j)
-
     def test_odd_holes_and_petersen_take_small_trees(self):
         # alpha = j and no partition into j cliques
         cases = [(corpus.cycle(n), n // 2, 3) for n in (5, 7, 9, 11)]
         cases += [(corpus.complement(corpus.cycle(7)), 2, 3), (corpus.petersen(), 4, 5)]
         for g, j, nodes in cases:
-            assert clique_cover(g, j) is None
             kind, tree = decide_threshold(g, j)
             assert kind == "proof" and tree_nodes(tree) == nodes, (g, j)
             assert is_threshold_proof(g, tree, j)
@@ -242,15 +244,15 @@ class TestDecideThreshold:
 
     def test_recursion_limit_gives_none(self):
         # the partition search recurses once per placed vertex, so past the
-        # recursion limit both searches are undecided instead of raising
+        # recursion limit the decision is undecided instead of raising
         g = corpus.complete(400)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(300)
         try:
-            cover, decided = clique_cover(g, 1), decide_threshold(g, 1)
+            decided = decide_threshold(g, 1)
         finally:
             sys.setrecursionlimit(limit)
-        assert cover is None and decided is None
+        assert decided is None
         assert decide_threshold(g, 1) == ("proof", (tuple(range(400)),))
 
 

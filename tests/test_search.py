@@ -26,7 +26,6 @@ from mpoly import (
     eigenvalues,
     hurwitz_search,
     instance_graph,
-    is_clique_cover,
     is_threshold_proof,
     max_independent_set,
     minimize_spectral_radius,
@@ -101,7 +100,8 @@ class TestSearchGeneral:
         exact = search_general(inst.gadgets, budget=5000, seed=0)
         assert exact.status is SearchStatus.INFEASIBLE
         assert exact.certificate is None
-        assert is_clique_cover(g, exact.clique_cover, 1)
+        assert exact.threshold_proof == ((0, 1),)
+        assert is_threshold_proof(g, exact.threshold_proof, 1)
 
     def test_never_infeasible(self):
         # off the exact gadget path the search never answers INFEASIBLE
@@ -111,7 +111,7 @@ class TestSearchGeneral:
         assert out.status is not SearchStatus.INFEASIBLE
         exact = search_general(inst.gadgets, budget=2000, seed=1)
         assert exact.status is SearchStatus.INFEASIBLE
-        assert is_clique_cover(g, exact.clique_cover, 2)
+        assert is_threshold_proof(g, exact.threshold_proof, 2)
 
     def test_feasible_certificates_recertify(self):
         # with k = n <= 4 the grid pass makes the search complete, so the
@@ -276,9 +276,12 @@ class TestGadgetCover:
         assert out.status is SearchStatus.INFEASIBLE
         assert out.certificate is None
         assert out.budget_spent == 0
-        assert is_clique_cover(g, out.clique_cover, 3)
-        payload = out.to_json_dict()
-        assert payload["clique_cover"] == [[v + 1 for v in p] for p in out.clique_cover]
+        assert not isinstance(out.threshold_proof, Branch)
+        assert is_threshold_proof(g, out.threshold_proof, 3)
+        payload = out.to_json_dict()["threshold_proof"]
+        assert payload == {
+            "tree": [[v + 1 for v in p] for p in out.threshold_proof],
+            "rests_on": "Cauchy-Schwarz"}
 
     def test_json_has_no_cover_key_without_a_cover(self, monkeypatch):
         feasible = search_general(build_instance(corpus.cycle(5), 1).gadgets, seed=0)
@@ -286,7 +289,6 @@ class TestGadgetCover:
         unknown = search_general(K3_J2, budget=500, seed=0)
         assert unknown.status is SearchStatus.UNKNOWN
         for out in (feasible, unknown):
-            assert out.clique_cover is None
             assert out.threshold_proof is None
             assert set(out.to_json_dict()) == {
                 "status", "certificate", "margins", "budget_spent"}
@@ -312,7 +314,7 @@ class TestGadgetCover:
                                                  status):
         out = search_general(family, budget=3000, seed=0)
         assert out.status is status, name
-        assert out.clique_cover is None
+        assert out.threshold_proof is None
         assert out == ascent_only(family, monkeypatch, budget=3000, seed=0)
 
     def test_node_cap_hit_takes_the_ascent(self, monkeypatch):
@@ -331,7 +333,7 @@ class TestGadgetCover:
                             lambda g, j: ("proof", ((0, 1),)))
         out = search_general(K3_J2, budget=3000, seed=0)
         assert out.status is SearchStatus.UNKNOWN
-        assert out.clique_cover is None and out.threshold_proof is None
+        assert out.threshold_proof is None
         assert out == ascent_only(K3_J2, monkeypatch, budget=3000, seed=0)
 
     def test_exhaustive_agreement_with_the_oracle(self):
@@ -343,15 +345,10 @@ class TestGadgetCover:
                 if out.status is SearchStatus.INFEASIBLE:
                     assert alpha <= j, (g, j)
                     assert out.budget_spent == 0
-                    if out.clique_cover is None:
+                    assert is_threshold_proof(g, out.threshold_proof, j), (g, j)
+                    if isinstance(out.threshold_proof, Branch):
                         uncovered.append((g.n, len(g.edges), j))
-                        assert isinstance(out.threshold_proof, Branch)
-                        assert is_threshold_proof(g, out.threshold_proof, j), (g, j)
-                    else:
-                        assert is_clique_cover(g, out.clique_cover, j), (g, j)
-                        assert out.threshold_proof is None
                 else:
-                    assert out.clique_cover is None
                     assert out.threshold_proof is None
                     assert alpha > j, (g, j)
         # every graph on at most 5 vertices but C5 is perfect, so it has a
@@ -392,11 +389,10 @@ class TestThresholdTree:
         lp_calls = count_linprog(monkeypatch)
         monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
         for g, j in alpha_equals_j_without_a_partition():
-            assert mpoly.clique_cover(g, j) is None
             out = search_general(build_instance(g, j).gadgets, seed=0)
             assert out.status is SearchStatus.INFEASIBLE, (g, j)
             assert out.budget_spent == 0
-            assert out.certificate is None and out.clique_cover is None
+            assert out.certificate is None
             assert isinstance(out.threshold_proof, Branch)
             assert is_threshold_proof(g, out.threshold_proof, j)
             payload = out.to_json_dict()["threshold_proof"]
@@ -426,7 +422,7 @@ class TestThresholdTree:
         out = search_general(build_instance(g, 4).gadgets, budget=500, seed=0)
         assert out.status is SearchStatus.INFEASIBLE
         assert out.budget_spent == 0
-        assert out.clique_cover is None
+        assert isinstance(out.threshold_proof, Branch)
         assert is_threshold_proof(g, out.threshold_proof, 4)
         assert set(out.to_json_dict()) == {
             "status", "certificate", "margins", "budget_spent", "threshold_proof"}
@@ -515,8 +511,7 @@ class TestThresholdTree:
                                    for u in support for v in support)
                 else:
                     assert res.status is SearchStatus.INFEASIBLE
-                    proof = res.clique_cover or res.threshold_proof
-                    assert is_threshold_proof(graph, proof, j)
+                    assert is_threshold_proof(graph, res.threshold_proof, j)
 
 
 def greedy_feasible_cases():
@@ -545,7 +540,7 @@ class TestGadgetWitness:
             assert out.status is SearchStatus.FEASIBLE, (g, j)
             assert max_independent_set(g).alpha > j
             assert out.budget_spent == 0
-            assert out.clique_cover is None
+            assert out.threshold_proof is None
             weights = out.certificate.weights
             support = [v for v, w in enumerate(weights) if w]
             assert all(weights[v] == Fraction(1, len(support)) for v in support)
@@ -877,10 +872,7 @@ class TestHurwitzSearch:
                         pytest.approx(abscissa, rel=1e-9)
                 elif out.status is SearchStatus.INFEASIBLE:
                     assert alpha <= j and out.budget_spent == 0, (g, j)
-                    if out.clique_cover is None:
-                        assert is_threshold_proof(g, out.threshold_proof, j), (g, j)
-                    else:
-                        assert is_clique_cover(g, out.clique_cover, j), (g, j)
+                    assert is_threshold_proof(g, out.threshold_proof, j), (g, j)
                 else:
                     unknown.append((g.n, len(g.edges), j))
         # C5 at j = 2, with alpha = j and no partition into 2 cliques, is
