@@ -4,16 +4,18 @@ Subcommands: certify, reduce, combine, alpha, ms-solve, search, radius-min,
 hurwitz-search, pipeline. Structured output is JSON (--json); the default is
 a short human summary. Every proof of alpha <= t in JSON is one threshold
 tree with 1-based vertices, a list of clique parts at a leaf and
-{"vertex", "with", "without"} at a branch: ``proof`` of alpha, at t =
-alpha, and ``threshold_proof.tree`` of an INFEASIBLE gadget search, at
-t = j. Exit codes: searches use 0 FEASIBLE, 1 INFEASIBLE,
-2 UNKNOWN; certify uses 0 YES, 1 NO, 2 MARGINAL or DISAGREE; alpha uses 2
-when its --node-budget runs out or its search recurses past Python's
-limit; 64 usage error (an -o path that cannot be
-written and a negative --seed included), 65 malformed input (an exact entry
-beyond the float64 range included); pipeline reserves 70 for a soundness
-violation (search said FEASIBLE but the oracle says the instance is
-infeasible, or INFEASIBLE but the oracle says it is feasible).
+{"links": [{"vertex", "with"}, ...], "rest"} at a branch, whose chain of
+links ends in the leaf "rest": ``proof`` of alpha, at t = alpha, and
+``threshold_proof.tree`` of an INFEASIBLE gadget search, at t = j. Exit
+codes: searches use 0 FEASIBLE, 1 INFEASIBLE, 2 UNKNOWN; certify uses
+0 YES, 1 NO, 2 MARGINAL or DISAGREE; alpha uses 2 when its --node-budget
+runs out or its search recurses past Python's limit; 64 usage error (an
+-o path that cannot be written and a negative --seed included), 65
+malformed input (an exact entry beyond the float64 range included);
+pipeline reserves 70 for a soundness violation (search said FEASIBLE but
+the oracle says the instance is infeasible, or INFEASIBLE but the oracle
+says it is feasible, or the oracle's own witness or proof fails its
+re-check).
 
 Seeds default to 0, never to entropy; identical arguments give byte
 identical JSON output. The MPOLY_TOL environment variable overrides the
@@ -30,6 +32,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import config
 from .errors import BudgetExceeded, DomainError
@@ -40,6 +43,7 @@ from .oracle import (
     _tree_json,
     alpha_lower_bound,
     extract_independent_set,
+    is_threshold_proof,
     max_independent_set,
     motzkin_straus_min,
 )
@@ -301,17 +305,24 @@ def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
     """Reduce, search, then compare against the exact oracle,
     :func:`oracle.max_independent_set`.
 
+    Both sides run one branch and bound, so the oracle's own answer is
+    re-checked first: its witness must be independent with alpha vertices,
+    and :func:`oracle.is_threshold_proof` must accept its proof at alpha.
     Returns a report dict with an ``exit_code`` field: 70 flags a soundness
-    violation (search found a witness although alpha <= j, or answered
-    INFEASIBLE although alpha > j), 2 an honest completeness miss (UNKNOWN
-    although alpha > j), 0 agreement.
+    violation (an oracle answer that fails its re-check, a search witness
+    although alpha <= j, or INFEASIBLE although alpha > j), 2 an honest
+    completeness miss (UNKNOWN although alpha > j), 0 agreement.
     """
     instance = build_instance(graph, j)
     outcome = search_general(instance.gadgets, budget=budget, seed=seed)
     oracle = max_independent_set(graph)
     truly_feasible = oracle.alpha > j
     status = outcome.status
-    if status is SearchStatus.FEASIBLE and not truly_feasible:
+    if (len(oracle.witness) != oracle.alpha
+            or any(graph.has_edge(u, v) for u, v in combinations(oracle.witness, 2))
+            or not is_threshold_proof(graph, oracle.proof, oracle.alpha)):
+        verdict, code = "ORACLE_REFUTED", EX_SOUNDNESS
+    elif status is SearchStatus.FEASIBLE and not truly_feasible:
         verdict, code = "DISAGREE", EX_SOUNDNESS
     elif status is SearchStatus.INFEASIBLE and truly_feasible:
         verdict, code = "DISAGREE", EX_SOUNDNESS

@@ -1,12 +1,14 @@
 """Ground-truth graph machinery.
 
-One branch and bound, :func:`decide_threshold`, that either finds an
-independent set of more than j vertices or builds a tree of clique
-partitions that proves alpha <= j, where a partition of the vertices into
-at most j cliques is the one-leaf tree; an independent integer checker
-for the tree, :func:`is_threshold_proof`, and its JSON form; the climb of
-:func:`max_independent_set` on that branch and bound to an exact alpha
-with both; and a
+One branch and bound, bounded at each node by a greedy split of its
+vertices into cliques (the colouring bound of Tomita and Seki's MCQ and
+Tomita and Kameda's MCS, applied to the complement): :func:`decide_threshold`
+either finds an independent set of more than j vertices or builds a tree
+of clique partitions that proves alpha <= j, where a partition of the
+vertices into at most j cliques is the one-leaf tree, and
+:func:`max_independent_set` runs it once, with t following the best set
+found, to an exact alpha with both; an independent integer checker for
+the tree, :func:`is_threshold_proof`, and its JSON form; and a
 multi-start projected-gradient minimizer for the quadratic form
 y' (I + C) y over the probability simplex, whose global minimum equals
 1/alpha(G). The minimizer descends Bomze's regularised form
@@ -37,17 +39,29 @@ from .simplex import SimplexPoint, project_rows_to_simplex, sample_simplex_rows
 
 DEFAULT_NODE_BUDGET = 100_000_000
 STATIONARITY_TOL = 1e-10
-# nodes the partition search at one tree node, and the threshold tree, may
-# each visit before they give up undecided
-CLIQUE_COVER_NODE_CAP = 10_000
+# tree nodes decide_threshold may visit before it gives up undecided
+THRESHOLD_NODE_CAP = 10_000
 
 
 @dataclass(frozen=True)
 class IndependentSetResult:
     alpha: int
     witness: frozenset
-    node_count: int  # threshold-tree nodes over every decision of the climb
+    node_count: int  # nodes of the one branch-and-bound tree
     proof: object  # a tree that is_threshold_proof accepts at alpha
+
+
+@dataclass(frozen=True)
+class Branch:
+    """An inner node of a threshold proof, at the claim alpha(G[A]) <= t: a
+    chain of `links` (v, with_tree), where with_tree proves
+    alpha(G[A' - N[v]]) <= t - 1 for the set A' that the earlier links of
+    the chain leave, and each link then takes v out of A'; `rest`, a
+    partition of what is left into at most t cliques, closes the chain.
+    Every other node is a leaf, a partition of A into at most t cliques."""
+
+    links: tuple
+    rest: tuple
 
 
 def _members(mask: int) -> list[int]:
@@ -72,121 +86,107 @@ def _greedy_seed(masks: list[int], avail: int) -> int:
     return chosen
 
 
+def _clique_parts(masks: list[int], order: list[int], avail: int) -> list[list[int]]:
+    """The greedy partition of the vertices in the mask `avail` into
+    cliques: each vertex, taken in `order`, joins the first part that it is
+    adjacent to all of, or else opens a new part. So each part starts at
+    the first vertex no earlier part took and takes each later such vertex
+    adjacent to the whole part. Parts list their vertices as they joined."""
+    parts, joinable = [], []  # joinable[p]: the vertices adjacent to all of part p
+    for v in order:
+        if avail >> v & 1:
+            for p, can in enumerate(joinable):
+                if can >> v & 1:
+                    parts[p].append(v)
+                    joinable[p] = can & masks[v]
+                    break
+            else:
+                parts.append([v])
+                joinable.append(masks[v])
+    return parts
+
+
+def _leaf(parts: list[list[int]], avail: int) -> tuple:
+    """The nonempty parts within the mask `avail`, each ascending."""
+    kept = (sorted(v for v in part if avail >> v & 1) for part in parts)
+    return tuple(tuple(part) for part in kept if part)
+
+
+class _Refuted(Exception):
+    """Ends a search with a fixed bound at its first set above the bound."""
+
+
+def _branch_and_bound(g: Graph, bound: int, fixed: bool, cap: int):
+    """The one branch and bound of :func:`decide_threshold` and
+    :func:`max_independent_set`.
+
+    A node (A, chosen) claims alpha(G[A]) <= t = bound - |chosen|, where
+    `chosen` is the independent set of the with-links above it and A holds
+    the vertices adjacent to none of it. The greedy set S of
+    ``_greedy_seed`` on G[A] refutes the node when |S| > t: chosen + S
+    becomes the best set and its size the bound, or, with a `fixed` bound,
+    the search ends (_Refuted). Otherwise ``_clique_parts`` splits A into
+    cliques in one fixed order of the vertices, ascending degree with ties
+    to the lower vertex, as in the greedy colouring bound of Tomita and
+    Seki's MCQ (DMTCS 2003) applied to the complement. At most t parts are
+    the leaf. Otherwise the node is a chain over the vertices outside the
+    first t parts, highest part first and the last to join first: each
+    vertex v gets the with-child (A - N[v], chosen + v) and then leaves A.
+    t is read again before each link, so a set found deeper in the tree
+    cuts the rest of the chain, and the parts that are left close it. A
+    tree that proves a smaller bound passes the checker at a larger one, so
+    the tree proves the final bound. Returns (best set as a mask, tree,
+    nodes); BudgetExceeded once the nodes pass `cap`. The recursion is one
+    level per with-link, at most bound + 1 deep.
+    """
+    masks = g.neighbor_masks()
+    order = sorted(range(g.n), key=lambda v: (masks[v].bit_count(), v))
+    best = nodes = 0
+
+    def node(avail: int, chosen: int):
+        nonlocal best, bound, nodes
+        nodes += 1
+        if nodes > cap:
+            raise BudgetExceeded(f"exceeded node budget {cap}")
+        size = chosen.bit_count()
+        seed = _greedy_seed(masks, avail)
+        if size + seed.bit_count() > bound:
+            best, bound = chosen | seed, size + seed.bit_count()
+            if fixed:
+                raise _Refuted(best)
+        parts = _clique_parts(masks, order, avail)
+        if len(parts) <= bound - size:
+            return _leaf(parts, avail)
+        links = []
+        for p, v in reversed([(p, v) for p, part in enumerate(parts) for v in part]):
+            if p < bound - size:
+                break
+            links.append((v, node(avail & ~(masks[v] | 1 << v), chosen | 1 << v)))
+            avail &= ~(1 << v)
+        return Branch(tuple(links), _leaf(parts, avail))
+
+    tree = node((1 << g.n) - 1, 0)
+    return best, tree, nodes
+
+
 def max_independent_set(
     g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> IndependentSetResult:
     """Exact maximum independent set, with a tree that proves it maximum.
 
-    Climbs :func:`decide_threshold`'s branch and bound from j = the size of
-    the greedy set: each set of more than j vertices found raises j to its
-    size, and the first proof, which :func:`is_threshold_proof` accepts,
-    ends the climb at alpha = j. Raises BudgetExceeded once the tree nodes
-    summed over the climb pass `node_budget` or the search recurses past
-    Python's recursion limit. Deterministic for a given graph.
+    One pass of :func:`decide_threshold`'s branch and bound in which t
+    follows the best set found (see ``_branch_and_bound``), from the
+    greedy set of the root; its tree, which :func:`is_threshold_proof`
+    accepts, proves alpha <= the size of the best set. Raises
+    BudgetExceeded once the tree passes `node_budget` nodes or the search
+    recurses past Python's recursion limit. Deterministic for a given
+    graph.
     """
-    masks = g.neighbor_masks()
-    full = (1 << g.n) - 1
-    best, proof, counter = _greedy_seed(masks, full), None, [0]
     try:
-        while proof is None:
-            found, proof = _decide(masks, full, best.bit_count(), node_budget, counter)
-            best = found or best
+        best, proof, nodes = _branch_and_bound(g, 0, False, node_budget)
     except RecursionError:
         raise BudgetExceeded("exceeded the recursion limit") from None
-    return IndependentSetResult(best.bit_count(), frozenset(_members(best)),
-                                counter[0], proof)
-
-
-def _clique_partition(
-    masks: list[int], within: int, j: int, seed: int
-) -> tuple[tuple[int, ...], ...] | None:
-    """A partition of the vertices in the mask `within` into at most j
-    cliques, or None.
-
-    `seed` is an independent set inside `within` (a mask). It meets every
-    clique at most once, so None at once when it has more than j vertices.
-    Otherwise each of its vertices opens its own part, which breaks the
-    symmetry between parts, and a backtracking search over neighbour masks
-    places the rest: a vertex that no part can take opens a new one, and
-    otherwise the vertex with the fewest parts to join is tried in each of
-    them, then in a new part. None also when no partition exists or when
-    the search visits more than CLIQUE_COVER_NODE_CAP nodes; it recurses
-    once per placed vertex. Parts are sorted tuples, ordered by their
-    smallest vertex.
-    """
-    seeds = _members(seed)
-    if len(seeds) > j:
-        return None
-    members = [1 << v for v in seeds]
-    # joinable[p]: the vertices adjacent to every member of part p
-    joinable = [masks[v] for v in seeds]
-    nodes = 0
-
-    def extend(uncovered: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > CLIQUE_COVER_NODE_CAP:
-            return False
-        if not uncovered:
-            return True
-        reach = shared = 0  # vertices that at least one, two parts can take
-        for can in joinable:
-            shared |= reach & can
-            reach |= can
-        lonely = uncovered & ~reach
-        single = uncovered & reach & ~shared
-        if lonely:
-            v = (lonely & -lonely).bit_length() - 1
-            options = []
-        elif single:
-            v = (single & -single).bit_length() - 1
-            options = [p for p, can in enumerate(joinable) if can >> v & 1]
-        else:
-            # the fewest parts to join, ties to the lowest vertex; every
-            # vertex has at least two, so the first with two ends the scan
-            v, options = -1, None
-            rest = uncovered
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                parts = [p for p, can in enumerate(joinable) if can >> u & 1]
-                if options is None or len(parts) < len(options):
-                    v, options = u, parts
-                    if len(parts) == 2:
-                        break
-        bit = 1 << v
-        for p in options:
-            was = joinable[p]
-            members[p] |= bit
-            joinable[p] = was & masks[v]
-            if extend(uncovered & ~bit):
-                return True
-            members[p] &= ~bit
-            joinable[p] = was
-        if len(members) < j:
-            members.append(bit)
-            joinable.append(masks[v])
-            if extend(uncovered & ~bit):
-                return True
-            members.pop()
-            joinable.pop()
-        return False
-
-    if not extend(within & ~seed):
-        return None
-    return tuple(sorted(tuple(_members(mask)) for mask in members))
-
-
-@dataclass(frozen=True)
-class Branch:
-    """An inner node of a threshold proof: at the claim alpha(G[A]) <= t,
-    `with_vertex` proves alpha(G[A - N[vertex]]) <= t - 1 and
-    `without_vertex` proves alpha(G[A - vertex]) <= t. Every other node is
-    a leaf, a partition of A into at most t cliques."""
-
-    vertex: int
-    with_vertex: object
-    without_vertex: object
+    return IndependentSetResult(best.bit_count(), frozenset(_members(best)), nodes, proof)
 
 
 def decide_threshold(g: Graph, j: int):
@@ -195,50 +195,20 @@ def decide_threshold(g: Graph, j: int):
     Returns ("witness", vertices), an independent set of more than j
     vertices, ascending; ("proof", tree), a tree that
     :func:`is_threshold_proof` accepts; or None once the search visits
-    more than CLIQUE_COVER_NODE_CAP tree nodes or recurses past Python's
-    recursion limit. A node (A, t) claims alpha(G[A]) <= t, and the root
-    is (V, j). The greedy independent set S of ``_greedy_seed`` on G[A]
-    refutes the node when it has more than t vertices. Otherwise the
-    partition search ``_clique_partition``, seeded with S, makes the
-    node a leaf when it partitions A into at most t cliques. Otherwise the
-    node branches on the vertex v of A with the most neighbours in A (ties
-    to the lowest), into (A - N[v], t - 1) and then (A - v, t): a refuting
-    set of the first child plus v, or one of the second, refutes the node.
-    So the root tries exactly the greedy set and then a partition of V
-    into at most j cliques, the one-leaf proof.
+    more than THRESHOLD_NODE_CAP tree nodes or recurses past Python's
+    recursion limit. It is the search of ``_branch_and_bound`` with t
+    fixed at j at the root, which stops at the first set of more than j
+    vertices. So the root tries exactly the greedy set and then the greedy
+    partition of V into cliques, the one-leaf proof when it has at most j
+    parts.
     """
-    masks = g.neighbor_masks()
     try:
-        found, proof = _decide(masks, (1 << g.n) - 1, j, CLIQUE_COVER_NODE_CAP, [0])
+        _, proof, _ = _branch_and_bound(g, j, True, THRESHOLD_NODE_CAP)
+    except _Refuted as refuted:
+        return "witness", tuple(_members(refuted.args[0]))
     except (BudgetExceeded, RecursionError):
         return None
-    if found is None:
-        return "proof", proof
-    return "witness", tuple(_members(found))
-
-
-def _decide(masks: list[int], avail: int, t: int, cap: int, counter: list[int]):
-    """The node (avail, t) of :func:`decide_threshold`'s tree: (a refuting
-    independent set as a mask, None) or (None, a proof). `counter` holds
-    the tree nodes visited so far; BudgetExceeded once it passes `cap`."""
-    counter[0] += 1
-    if counter[0] > cap:
-        raise BudgetExceeded(f"exceeded node budget {cap}")
-    seed = _greedy_seed(masks, avail)
-    if seed.bit_count() > t:
-        return seed, None
-    parts = _clique_partition(masks, avail, t, seed)
-    if parts is not None:
-        return None, parts
-    v = max(_members(avail), key=lambda u: ((masks[u] & avail).bit_count(), -u))
-    found, with_vertex = _decide(masks, avail & ~(masks[v] | 1 << v), t - 1, cap,
-                                 counter)
-    if found is not None:
-        return found | 1 << v, None
-    found, without_vertex = _decide(masks, avail & ~(1 << v), t, cap, counter)
-    if found is not None:
-        return found, None
-    return None, Branch(v, with_vertex, without_vertex)
+    return "proof", proof
 
 
 def is_threshold_proof(g: Graph, tree, j: int) -> bool:
@@ -246,16 +216,18 @@ def is_threshold_proof(g: Graph, tree, j: int) -> bool:
 
     Replays the tree from the root claim alpha(G) <= j in integer vertex
     masks, independently of :func:`decide_threshold`, in O(nodes n^2). A
-    :class:`Branch` on v at the claim alpha(G[A]) <= t needs v in A, its
-    ``with_vertex`` tree to prove alpha(G[A - N[v]]) <= t - 1 and its
-    ``without_vertex`` tree to prove alpha(G[A - v]) <= t; this holds since
-    alpha(G[A]) is the larger of alpha(G[A - N[v]]) + 1 and
-    alpha(G[A - v]). Every other node is a leaf, a partition of A into
-    cliques, and needs at most t parts, each a clique, that hold every
-    vertex of A exactly once and no other vertex. For the gadget family at
-    threshold j, a tree proves that no convex combination is a nonsingular
-    M-matrix only together with the Motzkin-Straus theorem: min over the
-    simplex of pi'(I + C)pi = 1/alpha >= 1/j, so
+    :class:`Branch` at the claim alpha(G[A]) <= t needs t >= 1; it walks
+    its links in a loop, and a link (v, with_tree) needs v in A and
+    with_tree to prove alpha(G[A - N[v]]) <= t - 1, and then takes v out
+    of A; this holds since alpha(G[A]) is the larger of
+    alpha(G[A - N[v]]) + 1 and alpha(G[A - v]). Its `rest` is then checked
+    as a leaf on what is left. A leaf, a partition of A into cliques, needs
+    at most t parts, each a clique, that hold every vertex of A exactly
+    once and no other vertex. Only the with-trees recurse, one level per
+    unit of t, so no tree nests deeper than j + 1 levels. For the gadget
+    family at threshold j, a tree proves that no convex combination is a
+    nonsingular M-matrix only together with the Motzkin-Straus theorem:
+    min over the simplex of pi'(I + C)pi = 1/alpha >= 1/j, so
     det B(pi) = 1/j - pi'(I + C)pi <= 0. A one-leaf tree, a partition of
     the vertices into at most j cliques, needs only Cauchy-Schwarz:
     pi'(I + C)pi >= sum over parts K of pi(K)^2 >= 1/j.
@@ -264,11 +236,15 @@ def is_threshold_proof(g: Graph, tree, j: int) -> bool:
 
     def holds(node, avail: int, t: int) -> bool:
         if isinstance(node, Branch):
-            v = node.vertex
-            if not (0 <= v < g.n and avail >> v & 1):
+            if t < 1:
                 return False
-            return (holds(node.with_vertex, avail & ~(masks[v] | 1 << v), t - 1)
-                    and holds(node.without_vertex, avail & ~(1 << v), t))
+            for v, with_tree in node.links:
+                if not (0 <= v < g.n and avail >> v & 1):
+                    return False
+                if not holds(with_tree, avail & ~(masks[v] | 1 << v), t - 1):
+                    return False
+                avail &= ~(1 << v)
+            node = node.rest
         if len(node) > t:
             return False
         seen = 0
@@ -289,10 +265,12 @@ def is_threshold_proof(g: Graph, tree, j: int) -> bool:
 
 def _tree_json(tree):
     """A threshold proof with 1-based vertices, as in graph files: a leaf is
-    its list of parts, a branch ``{"vertex": v, "with": ..., "without": ...}``."""
+    its list of parts, a branch
+    ``{"links": [{"vertex": v, "with": ...}, ...], "rest": parts}``."""
     if isinstance(tree, Branch):
-        return {"vertex": tree.vertex + 1, "with": _tree_json(tree.with_vertex),
-                "without": _tree_json(tree.without_vertex)}
+        return {"links": [{"vertex": v + 1, "with": _tree_json(with_tree)}
+                          for v, with_tree in tree.links],
+                "rest": _tree_json(tree.rest)}
     return [[v + 1 for v in part] for part in tree]
 
 

@@ -314,11 +314,11 @@ def search_general(
     into at most j cliques, proves det B(pi) <= 0 for every pi by
     Cauchy-Schwarz, and a deeper tree proves alpha <= j, from which
     det B(pi) <= 0 follows by Motzkin-Straus. Petersen at j = 4 takes a
-    5-node tree.
+    3-node tree: one chain of two links, whose with-trees are leaves.
 
     Every other family takes the search below, which answers FEASIBLE or
     UNKNOWN, and so does a gadget family in two cases: when the tree
-    search visits more than ``oracle.CLIQUE_COVER_NODE_CAP`` nodes, and
+    search visits more than ``oracle.THRESHOLD_NODE_CAP`` nodes, and
     when a check rejects the answer (the search can still certify another
     point, for example under a large tolerance).
 

@@ -156,9 +156,19 @@ def empty(n: int) -> Graph:
     return Graph.from_edges(n, [])
 
 
+def co_crown(n: int) -> Graph:
+    """The complement of the crown graph on 2 x n vertices: two n-cliques,
+    of the even and of the odd vertices, and the matching 2i-(2i+1). Its
+    alpha is 2 for n >= 2, and the greedy partition in index order makes n
+    cliques of two, so a proof of alpha <= 2 branches on 2n - 4 vertices."""
+    edges = [(u, v) for u in range(2 * n) for v in range(u + 2, 2 * n, 2)]
+    return Graph.from_edges(2 * n, edges + [(2 * i, 2 * i + 1) for i in range(n)])
+
+
 def tree_from_json(tree):
     """A threshold proof from its JSON form (1-based), 0-based again."""
     if isinstance(tree, dict):
-        return Branch(tree["vertex"] - 1, tree_from_json(tree["with"]),
-                      tree_from_json(tree["without"]))
+        return Branch(tuple((link["vertex"] - 1, tree_from_json(link["with"]))
+                            for link in tree["links"]),
+                      tree_from_json(tree["rest"]))
     return tuple(tuple(v - 1 for v in part) for part in tree)

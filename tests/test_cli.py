@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -245,13 +246,13 @@ class TestOracleCommands:
                                 f"nodes={payload['node_count']}\n")
 
     def test_alpha_node_budget_exhausted_exit_two(self, tmp_path):
-        # a 5-node threshold tree proves alpha(Petersen) <= 4
+        # a 3-node threshold tree proves alpha(Petersen) <= 4
         path = tmp_path / "petersen.col"
         path.write_text(write_graph(corpus.petersen()))
-        res = mpoly_cmd("alpha", str(path), "--node-budget", "3", "--json")
+        res = mpoly_cmd("alpha", str(path), "--node-budget", "2", "--json")
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr == "mpoly: exceeded node budget 3\n"
+        assert res.stderr == "mpoly: exceeded node budget 2\n"
 
     def test_ms_solve_deterministic(self, workspace):
         args = (
@@ -476,9 +477,10 @@ class TestPipelineCommand:
         assert payload["alpha"] == 2
 
     def test_c5_j2_agree_infeasible(self, workspace):
-        # alpha = j = 2 with no partition into 2 cliques: branch on vertex
-        # 1; without its closed neighbourhood {3, 4} is one clique, and
-        # without vertex 1 the path 2-3-4-5 is two
+        # alpha = j = 2 and the greedy partition has 3 cliques, {1, 2},
+        # {3, 4} and {5}: one link on vertex 5, without whose closed
+        # neighbourhood {2, 3} is one clique, and then the path 1-2-3-4 is
+        # two
         res = mpoly_cmd("pipeline", str(workspace / "c5.col"), "2", "--json")
         assert res.returncode == 0
         payload = json.loads(res.stdout)
@@ -486,7 +488,8 @@ class TestPipelineCommand:
         assert payload["search"]["status"] == "INFEASIBLE"
         assert payload["search"]["budget_spent"] == 0
         assert payload["search"]["threshold_proof"] == {
-            "tree": {"vertex": 1, "with": [[3, 4]], "without": [[2, 3], [4, 5]]},
+            "tree": {"links": [{"vertex": 5, "with": [[2, 3]]}],
+                     "rest": [[1, 2], [3, 4]]},
             "rests_on": "Motzkin-Straus theorem",
         }
 
@@ -541,6 +544,21 @@ class TestPipelineCommand:
         assert report["truly_feasible"] is True
         assert report["verdict"] == "DISAGREE"
         assert report["exit_code"] == 70
+
+    # C5 has alpha 2: three cliques prove only alpha <= 3, and {0, 1} is an edge
+    @pytest.mark.parametrize("bad", [{"proof": ((0, 1), (2, 3), (4,))},
+                                     {"witness": frozenset({0, 1})}],
+                             ids=["proof", "witness"])
+    def test_oracle_answer_that_fails_its_recheck_exits_70(self, workspace, monkeypatch,
+                                                           capsys, bad):
+        real = mpoly.cli.max_independent_set
+        monkeypatch.setattr(mpoly.cli, "max_independent_set",
+                            lambda g: dataclasses.replace(real(g), **bad))
+        code = mpoly.cli.main(["pipeline", str(workspace / "c5.col"), "2", "--json"])
+        assert code == 70
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "ORACLE_REFUTED" and report["exit_code"] == 70
+        assert report["search"]["status"] == "INFEASIBLE"
 
     def test_twenty_vertex_graph_agrees(self, tmp_path):
         g = corpus.gnp(20, 0.35, 1)

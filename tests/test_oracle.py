@@ -1,10 +1,12 @@
 """Brute-force independent sets and the simplex quadratic-form minimizer."""
 
 import importlib
+import json
 import math
 import pkgutil
 import sys
 import warnings
+from contextlib import contextmanager
 from itertools import product
 
 import numpy as np
@@ -28,7 +30,14 @@ from mpoly import (
 )
 import mpoly
 import mpoly.oracle
-from mpoly.oracle import Branch, MSolveResult, _forms, _ms_round, _rescale_rows
+from mpoly.oracle import (
+    Branch,
+    MSolveResult,
+    _forms,
+    _ms_round,
+    _rescale_rows,
+    _tree_json,
+)
 from mpoly.simplex import sample_simplex_rows
 
 import corpus
@@ -96,10 +105,11 @@ class TestMaxIndependentSet:
         assert first == second
 
     def test_node_budget(self):
-        # C8 is a one-node proof (four edges); Petersen needs a 5-node tree
+        # C8 is a one-node proof (four edges); Petersen needs a 3-node tree
         assert max_independent_set(corpus.cycle(8), node_budget=1).node_count == 1
         with pytest.raises(BudgetExceeded):
-            max_independent_set(corpus.petersen(), node_budget=3)
+            max_independent_set(corpus.petersen(), node_budget=2)
+        assert max_independent_set(corpus.petersen(), node_budget=3).node_count == 3
 
     def test_forty_vertices_with_a_proof(self):
         g = corpus.gnp(40, 0.5, 3)
@@ -110,9 +120,30 @@ class TestMaxIndependentSet:
         assert not is_threshold_proof(g, res.proof, 6)
 
     def test_recursion_limit_is_a_spent_budget(self):
-        # the partition search recurses once per placed vertex
-        with pytest.raises(BudgetExceeded):
-            max_independent_set(corpus.complete(1100))
+        # the search recurses once per with-link: the fewest frames that
+        # run C8's one-node tree do not run Petersen's with-children
+        c8, g = corpus.cycle(8), corpus.petersen()
+        one_node, tree = at_fewest_frames(lambda: max_independent_set(c8),
+                                          lambda: max_independent_set(g))
+        assert one_node.alpha == 4 and isinstance(tree, BudgetExceeded)
+        assert max_independent_set(g).alpha == 4
+
+    def test_one_clique_of_1100_vertices(self):
+        res = max_independent_set(corpus.complete(1100))
+        assert res.alpha == 1 and res.node_count == 1
+        assert res.proof == (tuple(range(1100)),)
+
+    def test_co_crown_takes_one_long_chain(self):
+        # 2 x 600 vertices: the root's chain has 1,196 links, each with a
+        # one-clique leaf, at the default recursion limit
+        g = corpus.co_crown(600)
+        res = max_independent_set(g)
+        assert res.alpha == 2 and is_independent(g, res.witness)
+        assert isinstance(res.proof, Branch) and len(res.proof.links) == 1196
+        assert is_threshold_proof(g, res.proof, 2)
+        assert not is_threshold_proof(g, res.proof, 1)
+        text = json.dumps(_tree_json(res.proof))
+        assert corpus.tree_from_json(json.loads(text)) == res.proof
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 9), p=st.sampled_from(corpus.GNP_P_CYCLE),
@@ -126,14 +157,59 @@ class TestMaxIndependentSet:
         assert not is_threshold_proof(g, res.proof, res.alpha - 1)
 
 
-def cover_number(g: Graph) -> int:
-    """Fewest cliques that partition the vertices, by brute force."""
-    for t in range(1, g.n + 1):
-        for part in product(range(t), repeat=g.n):
-            if all(g.has_edge(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                   if part[u] == part[v]):
-                return t
-    raise AssertionError("singletons always partition the vertices")
+def greedy_parts(g: Graph) -> list:
+    """The greedy clique partition, part by part: each part starts at the
+    first vertex that no part holds yet and takes each later such vertex
+    adjacent to the whole part, in the order of ascending degree, ties to
+    the lower vertex."""
+    order = sorted(range(g.n), key=lambda v: (sum(g.has_edge(v, u) for u in range(g.n)
+                                                 if u != v), v))
+    parts, covered = [], set()
+    for first in order:
+        if first in covered:
+            continue
+        part = [first]
+        for v in order[order.index(first) + 1:]:
+            if v not in covered and all(g.has_edge(v, u) for u in part):
+                part.append(v)
+        parts.append(part)
+        covered.update(part)
+    return parts
+
+
+def at_fewest_frames(*calls) -> list:
+    """The outcome of each call, its value or the BudgetExceeded it raises,
+    all run at one depth, under the fewest spare frames (see
+    ``spare_frames``) at which the first call returns a value."""
+    for spare in range(100):
+        outcomes = []
+        with spare_frames(spare):
+            for call in calls:
+                try:
+                    outcomes.append(call())
+                except BudgetExceeded as exc:
+                    outcomes.append(exc)
+        if not isinstance(outcomes[0], (BudgetExceeded, type(None))):
+            return outcomes
+    raise AssertionError("no recursion limit lets the first call run")
+
+
+@contextmanager
+def spare_frames(spare: int):
+    """Run the body with the recursion limit `spare` frames above the
+    lowest limit that can be set at the caller's depth."""
+    old, low = sys.getrecursionlimit(), 1
+    while True:
+        try:
+            sys.setrecursionlimit(low)
+            break
+        except RecursionError:  # below the current depth
+            low += 1
+    sys.setrecursionlimit(low + spare)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def one_leaf(answer):
@@ -160,21 +236,24 @@ class TestCliqueCover:
         cover = one_leaf(decide_threshold(corpus.petersen(), 5))
         assert is_threshold_proof(corpus.petersen(), cover, 5)
 
-    def test_matches_brute_force_cover_number(self):
-        # decide_threshold returns a one-leaf proof iff j >= theta(G)
-        for g in corpus.small_graphs(5) + corpus.gnp_samples((6,), 15):
-            theta = cover_number(g)
+    def test_one_leaf_iff_the_greedy_partition_fits(self):
+        # decide_threshold returns a one-leaf proof iff the greedy clique
+        # partition has at most j parts, and then the leaf is that partition
+        for g in corpus.small_graphs(5) + corpus.gnp_samples((6, 9), 15):
+            parts = greedy_parts(g)
             for j in range(1, g.n + 1):
                 cover = one_leaf(decide_threshold(g, j))
-                assert (cover is not None) == (j >= theta), (g, j)
+                assert (cover is not None) == (len(parts) <= j), (g, j)
                 if cover is not None:
                     assert is_threshold_proof(g, cover, j)
-                    assert list(cover) == sorted(cover)
+                    assert cover == tuple(tuple(sorted(part)) for part in parts)
 
     def test_node_cap_gives_none(self, monkeypatch):
-        # the partition search at the root needs more than one node
-        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 1)
+        # the one-leaf proof at the root is one node
+        monkeypatch.setattr(mpoly.oracle, "THRESHOLD_NODE_CAP", 0)
         assert decide_threshold(corpus.cycle(5), 3) is None
+        monkeypatch.setattr(mpoly.oracle, "THRESHOLD_NODE_CAP", 1)
+        assert decide_threshold(corpus.cycle(5), 3) == ("proof", self.C5_COVER)
 
     def test_checker_accepts_a_valid_cover(self):
         assert is_threshold_proof(corpus.cycle(5), self.C5_COVER, 3)
@@ -194,8 +273,9 @@ class TestCliqueCover:
 
 
 def tree_nodes(tree) -> int:
+    """A chain is one node, over the nodes of its with-trees."""
     if isinstance(tree, Branch):
-        return 1 + tree_nodes(tree.with_vertex) + tree_nodes(tree.without_vertex)
+        return 1 + sum(tree_nodes(with_tree) for _, with_tree in tree.links)
     return 1
 
 
@@ -213,12 +293,12 @@ class TestDecideThreshold:
                     assert kind == "proof" and alpha <= j, (g, j)
                     assert is_threshold_proof(g, found, j), (g, j)
                     largest = max(largest, tree_nodes(found))
-        assert largest == 5
+        assert largest == 2
 
     def test_odd_holes_and_petersen_take_small_trees(self):
         # alpha = j and no partition into j cliques
-        cases = [(corpus.cycle(n), n // 2, 3) for n in (5, 7, 9, 11)]
-        cases += [(corpus.complement(corpus.cycle(7)), 2, 3), (corpus.petersen(), 4, 5)]
+        cases = [(corpus.cycle(n), n // 2, 2) for n in (5, 7, 9, 11)]
+        cases += [(corpus.complement(corpus.cycle(7)), 2, 2), (corpus.petersen(), 4, 3)]
         for g, j, nodes in cases:
             kind, tree = decide_threshold(g, j)
             assert kind == "proof" and tree_nodes(tree) == nodes, (g, j)
@@ -226,69 +306,100 @@ class TestDecideThreshold:
             assert not is_threshold_proof(g, tree, j - 1)
 
     def test_graphs_past_the_exact_cap_are_decided(self):
-        # 40 vertices: a witness of 7 vertices at j = 6, and a 39-node tree
+        # 40 vertices: a witness of 7 vertices at j = 6, and a 10-node tree
         # at j = 7, so alpha = 7
         g = corpus.gnp(40, 0.5, 3)
         kind, witness = decide_threshold(g, 6)
         assert kind == "witness" and len(witness) == 7
         assert is_independent(g, witness)
         kind, tree = decide_threshold(g, 7)
-        assert kind == "proof" and tree_nodes(tree) == 39
+        assert kind == "proof" and tree_nodes(tree) == 10
         assert is_threshold_proof(g, tree, 7)
 
     def test_node_cap_gives_none(self, monkeypatch):
-        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 2)
+        # C5 at j = 2 is a root chain of one link and its with-tree
+        monkeypatch.setattr(mpoly.oracle, "THRESHOLD_NODE_CAP", 1)
         assert decide_threshold(corpus.cycle(5), 2) is None
-        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 3)
+        monkeypatch.setattr(mpoly.oracle, "THRESHOLD_NODE_CAP", 2)
         assert decide_threshold(corpus.cycle(5), 2)[0] == "proof"
 
     def test_recursion_limit_gives_none(self):
-        # the partition search recurses once per placed vertex, so past the
-        # recursion limit the decision is undecided instead of raising
-        g = corpus.complete(400)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(300)
-        try:
-            decided = decide_threshold(g, 1)
-        finally:
-            sys.setrecursionlimit(limit)
+        # the search recurses once per with-link, so past the recursion
+        # limit the decision is undecided instead of raising: the fewest
+        # frames that decide Petersen at j = 5 from one leaf do not run the
+        # with-children of its tree at j = 4
+        g = corpus.petersen()
+        one_leaf_answer, decided = at_fewest_frames(lambda: decide_threshold(g, 5),
+                                                    lambda: decide_threshold(g, 4))
+        assert one_leaf(one_leaf_answer) is not None
         assert decided is None
-        assert decide_threshold(g, 1) == ("proof", (tuple(range(400)),))
+        assert decide_threshold(g, 4)[0] == "proof"
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 9), p=st.sampled_from(corpus.GNP_P_CYCLE),
+           graph_seed=st.integers(0, 2**32 - 1), perm_seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_keeps_alpha_and_every_answer_kind(self, n, p, graph_seed,
+                                                           perm_seed):
+        g = corpus.gnp(n, p, graph_seed)
+        perm = [int(v) for v in np.random.default_rng(perm_seed).permutation(n)]
+        h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+        res, relabelled = max_independent_set(g), max_independent_set(h)
+        assert res.alpha == relabelled.alpha
+        assert is_threshold_proof(h, relabelled.proof, relabelled.alpha)
+        for j in range(1, n + 1):
+            kind, _ = decide_threshold(g, j)
+            relabelled_kind, found = decide_threshold(h, j)
+            assert kind == relabelled_kind, (g, perm, j)
+            if relabelled_kind == "proof":
+                assert is_threshold_proof(h, found, j)
 
 
 class TestThresholdProof:
-    # on C5 = 0-1-2-3-4-0 at j = 2: branch on 0, then {2, 3} is one clique
-    # at t = 1, and the path 1-2-3-4 is two cliques at t = 2
-    C5_TREE = Branch(0, ((2, 3),), ((1, 2), (3, 4)))
+    # on C5 = 0-1-2-3-4-0 at j = 2: a chain of one link on 0, whose
+    # with-tree {2, 3} is one clique at t = 1, closed by the path 1-2-3-4
+    # as two cliques at t = 2
+    C5_TREE = Branch(((0, ((2, 3),)),), ((1, 2), (3, 4)))
 
     def test_checker_accepts_a_valid_tree(self):
         c5 = corpus.cycle(5)
         assert is_threshold_proof(c5, self.C5_TREE, 2)
-        assert is_threshold_proof(c5, Branch(0, [[3, 2]], [[4, 3], [1, 2]]), 2)
+        assert is_threshold_proof(c5, Branch([[0, [[3, 2]]]], [[4, 3], [1, 2]]), 2)
+        # a chain of two links: 0, then 1 with A - N[1] = {3, 4} at t = 1
+        assert is_threshold_proof(c5, Branch(((0, ((2, 3),)), (1, ((3, 4),))),
+                                             ((2, 3), (4,))), 2)
         # a partition is the one-leaf tree
         assert is_threshold_proof(c5, ((0, 1), (2, 3), (4,)), 3)
         assert not is_threshold_proof(c5, ((0, 1), (2, 3), (4,)), 2)
 
     # each mutation breaks one clause of the checker and keeps the others
     @pytest.mark.parametrize("tree, j", [
-        pytest.param(Branch(0, ((2, 3),), ((1,), (2,), (3, 4))), 2,
+        pytest.param(Branch(((0, ((2, 3),)),), ((1,), (2,), (3, 4))), 2,
                      id="leaf-with-more-than-t-cliques"),
-        pytest.param(Branch(0, ((2, 3),), ((1, 3), (2, 4))), 2,
+        pytest.param(Branch(((0, ((2, 3),)),), ((1, 3), (2, 4))), 2,
                      id="part-not-a-clique"),
-        pytest.param(Branch(0, ((2, 3), (0,)), ((1, 2), (3, 4))), 3,
+        pytest.param(Branch(((0, ((2, 3), (0,))),), ((1, 2), (3, 4))), 3,
                      id="vertex-outside-A"),
-        pytest.param(Branch(0, ((2, 3),), ((1, 2), (2, 3), (4,))), 3,
+        pytest.param(Branch(((0, ((2, 3),)),), ((1, 2), (2, 3), (4,))), 3,
                      id="vertex-covered-twice"),
-        pytest.param(Branch(0, ((2, 3),), ((1, 2), (3,))), 2,
+        pytest.param(Branch(((0, ((2, 3),)),), ((1, 2), (3,))), 2,
                      id="vertex-uncovered"),
-        pytest.param(Branch(0, ((2, 3),), ((1, 2), (3, 4), (5,))), 3,
+        pytest.param(Branch(((0, ((2, 3),)),), ((1, 2), (3, 4), (5,))), 3,
                      id="vertex-not-in-the-graph"),
-        # 0 is not in A = {1, 2, 3, 4}, but both children would check
-        pytest.param(Branch(0, ((2, 3),), Branch(0, ((2, 3),), ((1, 2), (3, 4)))),
+        # the second link's 0 already left A = {1, 2, 3, 4}, but its
+        # with-tree and the rest would check
+        pytest.param(Branch(((0, ((2, 3),)), (0, ((2, 3),))), ((1, 2), (3, 4))),
                      2, id="branch-vertex-outside-A"),
+        # 0 left A with its link, but the rest holds it, and would check on
+        # the whole of C5
+        pytest.param(Branch(((0, ((2, 3),)),), ((0, 1), (2, 3), (4,))), 3,
+                     id="linked-vertex-in-the-rest"),
         # two cliques on {2, 3} hold at t = 2, not at t - 1 = 1
-        pytest.param(Branch(0, ((2,), (3,)), ((1, 2), (3, 4))), 2,
+        pytest.param(Branch(((0, ((2,), (3,))),), ((1, 2), (3, 4))), 2,
                      id="with-child-checked-at-t"),
+        # the with-tree of the link on 2 is an empty chain at t = 0, which
+        # would check on the empty set A - N[2] of its parent {2, 3}
+        pytest.param(Branch(((0, Branch(((2, Branch((), ())),), ((3,),))),),
+                            ((1, 2), (3, 4))), 2, id="branch-at-t-below-1"),
     ])
     def test_checker_rejects_mutations(self, tree, j):
         assert not is_threshold_proof(corpus.cycle(5), tree, j)

@@ -285,7 +285,7 @@ class TestGadgetCover:
 
     def test_json_has_no_cover_key_without_a_cover(self, monkeypatch):
         feasible = search_general(build_instance(corpus.cycle(5), 1).gadgets, seed=0)
-        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 0)
+        monkeypatch.setattr(mpoly.oracle, "THRESHOLD_NODE_CAP", 0)
         unknown = search_general(K3_J2, budget=500, seed=0)
         assert unknown.status is SearchStatus.UNKNOWN
         for out in (feasible, unknown):
@@ -320,7 +320,7 @@ class TestGadgetCover:
     def test_node_cap_hit_takes_the_ascent(self, monkeypatch):
         # the tree search stops before its root, so the family is left to
         # the ascent, which cannot answer INFEASIBLE
-        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 0)
+        monkeypatch.setattr(mpoly.oracle, "THRESHOLD_NODE_CAP", 0)
         out = search_general(K3_J2, budget=3000, seed=0)
         assert out.status is SearchStatus.UNKNOWN
         assert out.budget_spent > 0
@@ -353,7 +353,7 @@ class TestGadgetCover:
                     assert alpha > j, (g, j)
         # every graph on at most 5 vertices but C5 is perfect, so it has a
         # partition into alpha cliques; C5 needs 3 cliques and has alpha 2,
-        # and a 3-node tree proves alpha <= 2
+        # and a 2-node tree proves alpha <= 2
         assert uncovered == [(5, 5, 2)]
 
 
@@ -415,7 +415,7 @@ class TestThresholdTree:
 
     def test_petersen_at_four_is_infeasible_at_once(self):
         # triangle-free on 10 vertices, so no 4 cliques cover it, and every
-        # fractional clique cover weighs at least 5 = j + 1; a 5-node tree
+        # fractional clique cover weighs at least 5 = j + 1; a 3-node tree
         # proves alpha <= 4
         g = corpus.petersen()
         assert max_independent_set(g).alpha == 4
@@ -457,8 +457,8 @@ class TestThresholdTree:
             assert negated.budget_spent > 0
 
     def test_capped_tree_is_unknown_after_the_ascent(self, monkeypatch):
-        # the root of C5 at j = 2 branches, and its children pass the cap
-        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 2)
+        # the root of C5 at j = 2 is a chain, and its with-child passes the cap
+        monkeypatch.setattr(mpoly.oracle, "THRESHOLD_NODE_CAP", 1)
         gadgets = build_instance(corpus.cycle(5), 2).gadgets
         out = search_general(gadgets, budget=300, seed=0)
         assert out.status is SearchStatus.UNKNOWN
@@ -556,7 +556,7 @@ class TestGadgetWitness:
     def test_small_greedy_set_takes_the_exact_set(self):
         # min-degree greedy takes 0, which leaves the triangle {2, 4, 5}, so
         # its set is {0, 2}; alpha = 3 at {1, 3, 5} only, and the tree
-        # branches to it once no partition into 2 cliques is found
+        # branches to it once the greedy partition needs more than 2 cliques
         g = SIX_VERTEX_GREEDY_MISS
         assert greedy_set(g) == [0, 2]
         assert max_independent_set(g).alpha == 3
@@ -570,11 +570,11 @@ class TestGadgetWitness:
         assert out.margins == dict(report.margins)
 
     def test_capped_tree_takes_the_ascent(self, monkeypatch):
-        # the tree stops at the children of its root, and the ascent finds a
-        # witness for this family on its own
+        # the tree stops at the first with-child of its root, and the ascent
+        # finds a witness for this family on its own
         g = SIX_VERTEX_GREEDY_MISS
         gadgets = build_instance(g, 2).gadgets
-        monkeypatch.setattr(mpoly.oracle, "CLIQUE_COVER_NODE_CAP", 1)
+        monkeypatch.setattr(mpoly.oracle, "THRESHOLD_NODE_CAP", 1)
         out = search_general(gadgets, seed=0)
         assert out == ascent_only(gadgets, monkeypatch, seed=0)
         assert out.status is SearchStatus.FEASIBLE
