@@ -11,11 +11,12 @@ codes: searches use 0 FEASIBLE, 1 INFEASIBLE, 2 UNKNOWN; certify uses
 0 YES, 1 NO, 2 MARGINAL or DISAGREE; alpha uses 2 when its --node-budget
 runs out or its search recurses past Python's limit; 64 usage error (an
 -o path that cannot be written and a negative --seed included), 65
-malformed input (an exact entry beyond the float64 range included);
-pipeline reserves 70 for a soundness violation (search said FEASIBLE but
-the oracle says the instance is infeasible, or INFEASIBLE but the oracle
-says it is feasible, or the oracle's own witness or proof fails its
-re-check).
+malformed input (an entry beyond the float64 range, a decimal exponent
+beyond Python's int-string digit limit and JSON nested past the recursion
+limit included); pipeline reserves 70 for a soundness violation (search
+said FEASIBLE but the oracle says the instance is infeasible, or
+INFEASIBLE but the oracle says it is feasible, or the oracle's own
+witness or proof fails its re-check).
 
 Seeds default to 0, never to entropy; identical arguments give byte
 identical JSON output. The MPOLY_TOL environment variable overrides the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextvars
-import json
 import math
 import os
 import sys
@@ -36,7 +36,7 @@ from itertools import combinations
 
 from . import config
 from .errors import BudgetExceeded, DomainError
-from .linalg import Matrix, matrices_from_json, matrices_to_json
+from .linalg import Matrix, _canonical_json, _read_matrices, matrices_to_json
 from .mmatrix import certify
 from .oracle import (
     DEFAULT_NODE_BUDGET,
@@ -92,9 +92,7 @@ def _write_output(path: str | None, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_matrices(
-    path: str, backing: str | None, single: bool = False
-) -> list[Matrix]:
+def _load_matrices(path: str, backing: str | None, single: bool = False) -> list[Matrix]:
     """The matrices of a family file, or of a one-matrix file when `single`.
 
     --float converts every entry to float64. --exact reads every entry as
@@ -102,23 +100,10 @@ def _load_matrices(
     """
     text = _read_text(path)
     try:
-        if backing == "exact":
-            # one parse, with no float copy that an entry past the float64
-            # range would fail; each object still takes from_json_dict's checks
-            payload = json.loads(text, parse_float=Fraction)
-            objs = [payload] if single else payload
-            if not isinstance(objs, list) or not objs:
-                raise DomainError("expected a non-empty JSON array of matrices")
-            mats = [Matrix.from_json_dict({**obj, "exact": True}
-                                          if isinstance(obj, dict) else obj)
-                    for obj in objs]
-        else:
-            mats = [Matrix.loads(text)] if single else matrices_from_json(text)
-        if backing == "float":
-            mats = [m.to_float() for m in mats]
-    except ValueError as exc:  # DomainError and JSONDecodeError included
+        mats = _read_matrices(text, single, exact=backing == "exact")
+        return [m.to_float() for m in mats] if backing == "float" else mats
+    except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
-    return mats
 
 
 def _load_graph(path: str):
@@ -129,13 +114,9 @@ def _load_graph(path: str):
         raise DomainError(f"{path}: {exc}") from exc
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _emit(args, payload: dict, human_lines) -> None:
     if args.json:
-        print(_dump(payload))
+        print(_canonical_json(payload))
     else:
         for line in human_lines:
             print(line)
@@ -189,7 +170,7 @@ def cmd_combine(args) -> int:
     mats = _load_matrices(args.matrices, args.backing)
     point = _parse_weights(args.weights, len(mats))
     combo = convex_combination(mats, point)
-    _write_output(args.output, _dump(combo.to_json_dict()) + "\n")
+    _write_output(args.output, combo.dumps() + "\n")
     return 0
 
 

@@ -27,6 +27,7 @@ import enum
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -52,16 +53,27 @@ class Backing(enum.Enum):
     EXACT_RATIONAL = "exact_rational"
 
 
+def _fraction(text: str) -> Fraction:
+    """The rational that 'p/q' or decimal text denotes. As int() refuses
+    more digits than sys.get_int_max_str_digits(), unless it is 0, a decimal
+    exponent past it is refused: expanding 1e10000000 alone takes seconds."""
+    _, e, exponent = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    try:
+        if not (e and limit and abs(int(exponent)) > limit):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot parse rational entry {text!r}") from exc
+    raise DomainError(f"decimal exponent of {text!r} is beyond {limit}")
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, bool):
         raise DomainError("boolean is not a valid rational entry")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot parse rational entry {value!r}") from exc
+        return _fraction(value)
     raise DomainError(
         f"cannot build an exact rational from {type(value).__name__}; "
         "computed floats are never promoted to rationals"
@@ -99,7 +111,10 @@ class Matrix:
             self._den = den
             self._array = None
         else:
-            arr = np.array(rows, dtype=np.float64)
+            try:
+                arr = np.array(rows, dtype=np.float64)
+            except OverflowError as exc:
+                raise DomainError("float entry beyond the float64 range") from exc
             if not np.all(np.isfinite(arr)):
                 raise DomainError("float matrix entries must be finite")
             arr.flags.writeable = False
@@ -252,7 +267,9 @@ class Matrix:
         return {"n": self.n, "entries": entries, "exact": self.is_exact}
 
     @classmethod
-    def from_json_dict(cls, obj) -> "Matrix":
+    def from_json_dict(cls, obj, exact: bool = False) -> "Matrix":
+        """The matrix of one wire-format object; `exact` reads its entries
+        as exact whatever its "exact" key says."""
         if not isinstance(obj, dict):
             raise DomainError("matrix JSON must be an object")
         try:
@@ -260,7 +277,9 @@ class Matrix:
             entries = obj["entries"]
         except KeyError as exc:
             raise DomainError(f"matrix JSON missing field {exc}") from exc
-        exact = bool(obj.get("exact", False))
+        marked = obj.get("exact", False)
+        if not isinstance(marked, bool):
+            raise DomainError('matrix field "exact" must be true or false')
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise DomainError("matrix dimension must be a positive integer")
         if (
@@ -269,40 +288,47 @@ class Matrix:
             or any(not isinstance(r, list) or len(r) != n for r in entries)
         ):
             raise DomainError("matrix entries must form an n-by-n grid")
-        if exact:
+        if exact or marked:
             return cls.exact(entries)
-        for row in entries:
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise DomainError("float matrix entries must be numbers")
+        if any(isinstance(x, bool) or not isinstance(x, (int, float))
+               for row in entries for x in row):
+            raise DomainError("float matrix entries must be numbers")
         return cls.float64(entries)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_json_dict())
 
     @classmethod
     def loads(cls, text: str) -> "Matrix":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(obj)
+        return _read_matrices(text, single=True)[0]
+
+
+def _canonical_json(obj) -> str:
+    """The one JSON form of every output: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _read_matrices(text: str, single: bool = False, exact: bool = False):
+    """The matrices of JSON `text`: one object when `single`, else a
+    non-empty array of them. `exact` reads every entry as the rational its
+    text denotes, so 2.0 is 2 and 0.1 is 1/10, with no float copy made."""
+    try:
+        payload = json.loads(text, parse_float=_fraction if exact else None)
+    except (ValueError, RecursionError) as exc:  # DomainError included
+        raise DomainError(f"invalid JSON: {exc}") from exc
+    objs = [payload] if single else payload
+    if not isinstance(objs, list) or not objs:
+        raise DomainError("expected a non-empty JSON array of matrices")
+    return [Matrix.from_json_dict(obj, exact) for obj in objs]
 
 
 def matrices_to_json(matrices: Sequence[Matrix]) -> str:
     """Serialize a list of matrices deterministically (stable byte output)."""
-    payload = [m.to_json_dict() for m in matrices]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical_json([m.to_json_dict() for m in matrices]) + "\n"
 
 
 def matrices_from_json(text: str) -> list[Matrix]:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, list) or not payload:
-        raise DomainError("expected a non-empty JSON array of matrices")
-    return [Matrix.from_json_dict(obj) for obj in payload]
+    return _read_matrices(text)
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -329,10 +355,6 @@ class Verdict:
 
     def to_json_dict(self) -> dict:
         return {"status": self.status.value, "margin": _encode_scalar(self.margin)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Verdict":
-        return cls(Status(obj["status"]), float(obj["margin"]))
 
 
 def _encode_scalar(x: float):

@@ -254,19 +254,6 @@ class CertificationReport:
             "errors": dict(self.errors),
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CertificationReport":
-        return cls(
-            input_dim=int(obj["input_dim"]),
-            is_z=bool(obj["is_z"]),
-            verdicts={
-                k: Verdict.from_json_dict(v) for k, v in obj["verdicts"].items()
-            },
-            consensus=str(obj["consensus"]),
-            margins={k: float(v) for k, v in obj["margins"].items()},
-            errors=dict(obj.get("errors", {})),
-        )
-
 
 def certify(m: Matrix) -> CertificationReport:
     """Run the Z check plus all five conditions and report consensus.

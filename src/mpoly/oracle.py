@@ -260,7 +260,10 @@ def is_threshold_proof(g: Graph, tree, j: int) -> bool:
                 seen |= bit
         return seen == avail
 
-    return holds(tree, (1 << g.n) - 1, j)
+    try:
+        return holds(tree, (1 << g.n) - 1, j)
+    except (TypeError, ValueError):  # a malformed tree proves nothing
+        return False
 
 
 def _tree_json(tree):

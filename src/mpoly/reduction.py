@@ -15,6 +15,7 @@ Vertices are 1-based in graph files and 0-based everywhere in code.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -88,7 +89,7 @@ def parse_graph(text: str) -> Graph:
                 n, declared = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise DomainError(f"line {lineno}: non-integer sizes") from exc
-            if n < 1 or declared < 0:
+            if not 1 <= n <= sys.maxsize or declared < 0:
                 raise DomainError(f"line {lineno}: invalid sizes n={n} m={declared}")
         elif parts[0] == "e":
             if n is None:

@@ -1,5 +1,6 @@
 """Five-way M-matrix certification and its cross-validation lattice."""
 
+import json
 import math
 import threading
 from collections import Counter
@@ -12,7 +13,6 @@ import mpoly.linalg
 import mpoly.mmatrix
 from mpoly import (
     DEFAULT_TOLERANCE,
-    CertificationReport,
     DomainError,
     Matrix,
     NoConvergence,
@@ -246,10 +246,10 @@ class TestCertify:
 
     def test_report_json_round_trip(self):
         rep = certify(Matrix.float64([[0, 1], [-1, 0]]))
-        again = CertificationReport.from_json_dict(rep.to_json_dict())
-        assert again.consensus == rep.consensus
-        assert again.verdicts.keys() == rep.verdicts.keys()
-        assert again.errors == rep.errors
+        again = json.loads(json.dumps(rep.to_json_dict()))
+        assert again["consensus"] == rep.consensus
+        assert again["verdicts"].keys() == rep.verdicts.keys()
+        assert again["errors"] == rep.errors
 
 
 class TestCertifyMatchesChecks:

@@ -208,8 +208,9 @@ class TestCombineCommand:
     @pytest.mark.parametrize("text", [
         "{not json", "[]", "[1]", '[{"n":2}]',
         '[{"n":2,"entries":[[1,2],[3]],"exact":false}]',
+        '[{"n":1,"entries":[[1e5000]],"exact":false}]',
     ], ids=["invalid-json", "empty-list", "not-an-object", "no-entries",
-            "not-square"])
+            "not-square", "exponent-past-the-digit-limit"])
     def test_exact_flag_malformed_family_exit_65(self, tmp_path, text):
         path = tmp_path / "family.json"
         path.write_text(text)
@@ -593,9 +594,10 @@ SEEDED_INPUTS = {
     "radius-min": '[{"n":2,"entries":[[0.0,1.0],[1.0,0.0]],"exact":false}]',
     "search": NOT_MMATRIX_FAMILY,
 }
-# 10^400 has no finite float64 value; the nonnegative copy is for radius-min
-BEYOND_FLOAT = '{"n":2,"entries":[["1e400","-1"],["-1","2"]],"exact":true}'
-BEYOND_FLOAT_NONNEG = BEYOND_FLOAT.replace('"-1"', '"1"')
+# 10^400 has no finite float64 value, as an exact entry or as a JSON
+# integer in a float matrix
+BEYOND_FLOAT = ['{"n":2,"entries":[["1e400","-1"],["-1","2"]],"exact":true}',
+                '{"n":2,"entries":[[1%s,-1],[-1,2]],"exact":false}' % ("0" * 400)]
 
 
 class TestGlobalFlags:
@@ -617,14 +619,31 @@ class TestGlobalFlags:
         "hurwitz-search", "radius-min",
     ])
     def test_entry_beyond_float64_is_an_input_error(self, tmp_path, command):
-        big = BEYOND_FLOAT_NONNEG if command == "radius-min" else BEYOND_FLOAT
-        path = tmp_path / "big.json"
-        path.write_text(big if command.startswith("certify") else f"[{big}]")
+        for big in BEYOND_FLOAT:
+            if command == "radius-min":  # it needs a nonnegative family
+                big = big.replace("-1", "1")
+            path = tmp_path / "big.json"
+            path.write_text(big if command.startswith("certify") else f"[{big}]")
+            res = mpoly_cmd(*command.split(), str(path))
+            assert res.returncode == 65, big
+            assert res.stderr.startswith("mpoly: ")
+            assert res.stderr.count("\n") == 1
+            assert "beyond the float64 range" in res.stderr
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("certify", "[" * 100_000 + "]" * 100_000, "recursion"),
+        ("certify", '{"n":1,"entries":[["1e5000"]],"exact":true}', "exponent"),
+        ("certify", '{"n":1,"entries":[[1]],"exact":"no"}', '"exact"'),
+        ("alpha", "p edge 100000000000000000000 0\n", "invalid sizes"),
+    ], ids=["nested-past-the-recursion-limit", "string-exponent",
+            "exact-not-a-boolean", "graph-past-sys-maxsize"])
+    def test_malformed_input_is_an_input_error(self, tmp_path, command, text, message):
+        path = tmp_path / "input"
+        path.write_text(text)
         res = mpoly_cmd(*command.split(), str(path))
         assert res.returncode == 65
-        assert res.stderr.startswith("mpoly: ")
-        assert res.stderr.count("\n") == 1
-        assert "beyond the float64 range" in res.stderr
+        assert res.stderr.startswith("mpoly: ") and res.stderr.count("\n") == 1
+        assert message in res.stderr
 
     def test_main_runs_in_its_own_context(self, workspace, monkeypatch, capsys):
         # the command starts at the default tolerance whatever the caller

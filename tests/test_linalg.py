@@ -1,5 +1,6 @@
 """Matrix primitives: determinants, minors, Schur complements, eigenvalues."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -555,6 +556,20 @@ class TestJson:
             Matrix.loads('{"entries": [[1]]}')
         with pytest.raises(DomainError):
             Matrix.loads('{"n": 1, "entries": [[0.5]], "exact": true}')
+        with pytest.raises(DomainError):
+            Matrix.loads('{"n": 1, "entries": [[1]], "exact": "no"}')
+        with pytest.raises(DomainError, match="beyond the float64 range"):
+            Matrix.loads('{"n": 1, "entries": [[1%s]], "exact": false}' % ("0" * 400))
+        with pytest.raises(DomainError):
+            matrices_from_json("[" * 100_000 + "]" * 100_000)
+
+    def test_decimal_exponent_past_the_int_digit_limit(self, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        assert Matrix.exact([[f"1e-{limit}"]]).entry(0, 0) == Fraction(1, 10**limit)
+        with pytest.raises(DomainError, match="exponent"):
+            Matrix.exact([[f"1e{limit + 1}"]])
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert Matrix.exact([[f"1e{limit + 1}"]]).entry(0, 0) == 10 ** (limit + 1)
 
     def test_exact_flag_parses_strings_and_ints(self):
         m = Matrix.loads('{"n": 1, "entries": [["-3/4"]], "exact": true}')

@@ -404,6 +404,21 @@ class TestThresholdProof:
     def test_checker_rejects_mutations(self, tree, j):
         assert not is_threshold_proof(corpus.cycle(5), tree, j)
 
+    # each is C5_TREE or a partition of C5 with one node out of shape
+    @pytest.mark.parametrize("tree, j", [
+        pytest.param(Branch(((0, ((2, 3),)),), Branch(((1, ((3, 4),)),), ((2,),))),
+                     2, id="rest-a-branch"),
+        pytest.param(Branch(((0, ((2, 3),), 1),), ((1, 2), (3, 4))), 2,
+                     id="link-not-a-pair"),
+        pytest.param(Branch((0,), ((1, 2), (3, 4))), 2, id="link-a-vertex"),
+        pytest.param(3, 3, id="bare-integer"),
+        pytest.param(Branch((("0", ((2, 3),)),), ((1, 2), (3, 4))), 2,
+                     id="link-vertex-a-string"),
+        pytest.param(((0, 1.0), (2, 3), (4,)), 3, id="leaf-vertex-a-float"),
+    ])
+    def test_checker_rejects_malformed_trees(self, tree, j):
+        assert not is_threshold_proof(corpus.cycle(5), tree, j)
+
     def test_petersen_tree(self):
         # triangle-free on 10 vertices, so no 4 cliques cover it, and every
         # fractional clique cover weighs at least 5 = j + 1; the tree

@@ -1,5 +1,6 @@
 """Gadget construction, closed-form determinant, witnesses, nonnegative parts."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,8 @@ class TestGraph:
             parse_graph("p edge 2 1\ne 1 3\n")  # out of range
         with pytest.raises(DomainError):
             parse_graph("p edge 0 0\n")  # no vertices
+        with pytest.raises(DomainError):
+            parse_graph(f"p edge {sys.maxsize + 1} 0\n")  # no list holds n rows
 
 
 class TestSimplexPoint:
