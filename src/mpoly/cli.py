@@ -32,7 +32,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 from . import config
 from .errors import BudgetExceeded, DomainError
@@ -40,10 +39,10 @@ from .linalg import Matrix, _canonical_json, _read_matrices, matrices_to_json
 from .mmatrix import certify
 from .oracle import (
     DEFAULT_NODE_BUDGET,
+    _proves_alpha,
     _tree_json,
     alpha_lower_bound,
     extract_independent_set,
-    is_threshold_proof,
     max_independent_set,
     motzkin_straus_min,
 )
@@ -287,8 +286,7 @@ def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
     :func:`oracle.max_independent_set`.
 
     Both sides run one branch and bound, so the oracle's own answer is
-    re-checked first: its witness must be independent with alpha vertices,
-    and :func:`oracle.is_threshold_proof` must accept its proof at alpha.
+    re-checked first, by :func:`oracle._proves_alpha`.
     Returns a report dict with an ``exit_code`` field: 70 flags a soundness
     violation (an oracle answer that fails its re-check, a search witness
     although alpha <= j, or INFEASIBLE although alpha > j), 2 an honest
@@ -299,9 +297,7 @@ def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
     oracle = max_independent_set(graph)
     truly_feasible = oracle.alpha > j
     status = outcome.status
-    if (len(oracle.witness) != oracle.alpha
-            or any(graph.has_edge(u, v) for u, v in combinations(oracle.witness, 2))
-            or not is_threshold_proof(graph, oracle.proof, oracle.alpha)):
+    if not _proves_alpha(graph, oracle):
         verdict, code = "ORACLE_REFUTED", EX_SOUNDNESS
     elif status is SearchStatus.FEASIBLE and not truly_feasible:
         verdict, code = "DISAGREE", EX_SOUNDNESS

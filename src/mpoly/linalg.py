@@ -13,9 +13,12 @@ reported as MARGINAL instead. The kernel skips a row whose entry in the
 pivot column is zero, since that step would only rescale it, and scales it
 once when it is next read: the skipped factors telescope, so the result is
 the eager one bit for bit. After an early return on a singular block,
-callers read only the pivots. Library code reads exact matrices through
-``_num`` and ``_den`` only; :meth:`Matrix.rows` and :meth:`Matrix.entry`
-are Fraction views for callers.
+callers read only the pivots. Every exact matrix sum, ``A + B``,
+``A - B`` and each convex combination, comes from one kernel,
+``_combination``, over the numerators. Library code reads exact matrices
+through ``_num`` and ``_den`` only, here and where the gadgets of
+:mod:`mpoly.reduction` are laid out; :meth:`Matrix.rows` and
+:meth:`Matrix.entry` are Fraction views for callers.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from multiple threads.
@@ -26,11 +29,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +142,7 @@ class Matrix:
         m = object.__new__(cls)
         m.n = len(num)
         m.backing = Backing.EXACT_RATIONAL
-        m._num = tuple(tuple(r) for r in num)
+        m._num = tuple(map(tuple, num))
         m._den = den
         m._array = None
         return m
@@ -217,29 +219,14 @@ class Matrix:
         return Matrix.float64(-self._array)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._pointwise(other, operator.add, np.add)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._pointwise(other, operator.sub, np.subtract)
-
-    def _pointwise(self, other, int_op, np_op) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch(
-                f"dimension mismatch: {self.n} vs {other.n}"
-            )
-        if self.is_exact and other.is_exact:
-            den = math.lcm(self._den, other._den)
-            a, b = den // self._den, den // other._den
-            return Matrix._from_numerators(
-                [
-                    [int_op(a * x, b * y) for x, y in zip(ra, rb)]
-                    for ra, rb in zip(self._num, other._num)
-                ],
-                den,
-            )
-        return Matrix.float64(np_op(self.as_array(), other.as_array()))
+        return _combination((1, 1), _family((self, other)))
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return _combination((1, -1), _family((self, other)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -261,7 +248,11 @@ class Matrix:
 
     def to_json_dict(self) -> dict:
         if self.is_exact:
-            entries = [[str(Fraction(x, self._den)) for x in r] for r in self._num]
+            try:
+                entries = [[str(Fraction(x, self._den)) for x in r] for r in self._num]
+            except ValueError as exc:
+                limit = sys.get_int_max_str_digits()
+                raise DomainError(f"exact entry longer than {limit} digits") from exc
         else:
             entries = [[float(x) for x in row] for row in self._array]
         return {"n": self.n, "entries": entries, "exact": self.is_exact}
@@ -301,6 +292,45 @@ class Matrix:
     @classmethod
     def loads(cls, text: str) -> "Matrix":
         return _read_matrices(text, single=True)[0]
+
+
+def _family(matrices: Sequence[Matrix]) -> list[Matrix]:
+    """`matrices` as a list, once it is nonempty and of one dimension."""
+    mats = list(matrices)
+    if not mats:
+        raise DimensionMismatch("need at least one matrix")
+    if any(m.n != mats[0].n for m in mats):
+        raise DimensionMismatch("matrices must share one dimension")
+    return mats
+
+
+def _combination(weights, mats: Sequence[Matrix]) -> Matrix:
+    """sum_i weights[i] mats[i] over a :func:`_family`: the one kernel of
+    every matrix sum. Exact for int or Fraction weights and exact matrices,
+    in integers over the lcm of the weights' denominators times that of the
+    matrices', skipping zero terms; else one float64 tensordot (every zero
+    it writes is +0.0)."""
+    exact = all(isinstance(w, (int, Fraction)) for w in weights)
+    if exact and all(m.is_exact for m in mats):
+        terms = [(w, m) for w, m in zip(weights, mats) if w]
+        q = math.lcm(*(w.denominator for w, _ in terms))
+        d = math.lcm(*(m._den for _, m in terms))
+        cols = range(mats[0].n)
+        acc = [[0] * len(cols) for _ in cols]
+        for w, m in terms:
+            coef = w.numerator * (q // w.denominator) * (d // m._den)
+            for acc_r, row in zip(acc, m._num):
+                for c in compress(cols, row):  # the nonzero numerators
+                    acc_r[c] += coef * row[c]
+        return Matrix._from_numerators(acc, q * d)
+    stack = np.stack([m.as_array() for m in mats])
+    return Matrix.float64(np.tensordot([float(w) for w in weights], stack, axes=1))
+
+
+def _is_nonnegative(m: Matrix) -> bool:
+    """True when no entry of m is negative. Exact signs come from the
+    numerators: a tiny negative entry's float view is -0.0."""
+    return (min(map(min, m._num)) if m.is_exact else m._array.min()) >= 0
 
 
 def _canonical_json(obj) -> str:
@@ -586,8 +616,7 @@ def collatz_wielandt_ratio(n_mat: Matrix, x: Sequence[float]) -> float:
 
     Upper-bounds the spectral radius of N for every positive x.
     """
-    # exact signs come from the numerators: a tiny negative entry's float is -0.0
-    if (min(map(min, n_mat._num)) if n_mat.is_exact else n_mat._array.min()) < 0:
+    if not _is_nonnegative(n_mat):
         raise DomainError("matrix must be entrywise nonnegative")
     arr = n_mat.as_array()
     vec = np.asarray([float(v) for v in x], dtype=np.float64)

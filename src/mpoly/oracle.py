@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -264,6 +265,16 @@ def is_threshold_proof(g: Graph, tree, j: int) -> bool:
         return holds(tree, (1 << g.n) - 1, j)
     except (TypeError, ValueError):  # a malformed tree proves nothing
         return False
+
+
+def _proves_alpha(g: Graph, result: IndependentSetResult) -> bool:
+    """True when the answer of :func:`max_independent_set` holds up on its
+    own: its witness is an independent set of alpha vertices of G, and
+    :func:`is_threshold_proof` accepts its proof at alpha."""
+    w = result.witness
+    return (len(w) == result.alpha and w <= frozenset(range(g.n))
+            and not any(g.has_edge(u, v) for u, v in combinations(w, 2))
+            and is_threshold_proof(g, result.proof, result.alpha))
 
 
 def _tree_json(tree):

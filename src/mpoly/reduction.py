@@ -14,16 +14,13 @@ Vertices are 1-based in graph files and 0-based everywhere in code.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatch, DomainError, NotIndependent
-from .linalg import Matrix
+from .linalg import Matrix, _combination, _family
 from .simplex import SimplexPoint
 
 
@@ -202,32 +199,12 @@ def nonneg_parts(g: Graph, j: int) -> list[Matrix]:
 
 def convex_combination(matrices: Sequence[Matrix], pi: SimplexPoint) -> Matrix:
     """Weighted sum of equally sized matrices; exact when both sides are."""
-    mats = list(matrices)
-    if not mats:
-        raise DimensionMismatch("need at least one matrix")
-    n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise DimensionMismatch("matrices must share one dimension")
+    mats = _family(matrices)
     if len(pi) != len(mats):
         raise DimensionMismatch(
             f"{len(pi)} weights for {len(mats)} matrices"
         )
-    if pi.is_exact and all(m.is_exact for m in mats):
-        terms = [(w, m) for w, m in zip(pi.weights, mats) if w != 0]
-        # sum_i (p_i / q_i) (num_i / den_i) over the denominator Q * D, with
-        # Q the lcm of the q_i and D the lcm of the den_i
-        q = math.lcm(*(w.denominator for w, _ in terms))
-        d = math.lcm(*(m._den for _, m in terms))
-        acc = [[0] * n for _ in range(n)]
-        for w, m in terms:
-            coef = w.numerator * (q // w.denominator) * (d // m._den)
-            for acc_r, row in zip(acc, m._num):
-                for c, x in enumerate(row):
-                    if x:
-                        acc_r[c] += coef * x
-        return Matrix._from_numerators(acc, q * d)
-    stack = np.stack([m.as_array() for m in mats])
-    return Matrix.float64(np.tensordot(pi.to_floats(), stack, axes=1))
+    return _combination(pi.weights, mats)
 
 
 def quadratic_form(g: Graph, pi: SimplexPoint):

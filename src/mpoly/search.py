@@ -67,21 +67,14 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import config
-from .errors import BudgetExceeded, DimensionMismatch, DomainError, NotSymmetric
-from .linalg import Matrix, Z_SLACK, _encode_scalar, leading_minors_batch
+from .errors import BudgetExceeded, DomainError, NotSymmetric
+from .linalg import (Matrix, Z_SLACK, _encode_scalar, _family, _is_nonnegative,
+                     leading_minors_batch)
 from .mmatrix import CONSENSUS_YES, certify
-from .oracle import (
-    Branch,
-    _tree_json,
-    decide_threshold,
-    is_threshold_proof,
-    max_independent_set,
-)
-from .reduction import (
-    convex_combination,
-    instance_graph,
-    witness_from_independent_set,
-)
+from .oracle import (Branch, _proves_alpha, _tree_json, decide_threshold,
+                     is_threshold_proof, max_independent_set)
+from .reduction import (convex_combination, instance_graph,
+                        witness_from_independent_set)
 from .simplex import (
     SimplexPoint,
     project_rows_to_simplex,
@@ -142,15 +135,6 @@ class SearchOutcome:
                 "rests_on": "Motzkin-Straus theorem" if deep else "Cauchy-Schwarz",
             }
         return out
-
-
-def _validate_family(mats: Sequence[Matrix]) -> int:
-    if not mats:
-        raise DimensionMismatch("need at least one matrix")
-    n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise DimensionMismatch("matrices must share one dimension")
-    return n
 
 
 def _grid_passes(k: int) -> list[np.ndarray]:
@@ -287,7 +271,10 @@ def _gadget_answer(gadgets: Sequence[Matrix]) -> SearchOutcome | None:
         if not is_threshold_proof(g, found, j):
             return None
         return decided.outcome(SearchStatus.INFEASIBLE, proof=found)
-    point = witness_from_independent_set(g, found)
+    try:
+        point = witness_from_independent_set(g, found)
+    except DomainError:  # NotIndependent included
+        return None
     report = _certified(gadgets, point)
     if report is None:
         return None
@@ -334,8 +321,7 @@ def search_general(
     cut to the budget left, so ``budget_spent <= budget``. Raises
     DomainError for a budget below 1.
     """
-    mats = list(matrices)
-    _validate_family(mats)
+    mats = _family(matrices)
     if budget < 1:
         raise DomainError("budget must be at least 1")
     k = len(mats)
@@ -422,8 +408,8 @@ def search_symmetric(
     last LP bound, inf before the first LP) and ``best_lambda_min`` are
     taken at exit.
     """
-    mats = list(matrices)
-    dim = _validate_family(mats)
+    mats = _family(matrices)
+    dim = mats[0].n
     _check_symmetric(mats)
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
@@ -675,31 +661,30 @@ def minimize_spectral_radius(
     ((1 - 1/j) + sqrt((1 - 1/j)^2 + 4/alpha)) / 2, below 1 iff alpha > j.
     Every other family, and a gadget family whose maximum independent set
     :func:`oracle.max_independent_set` does not find (its node budget runs
-    out), takes the multi-start descent of :func:`_descend_spectral`,
+    out) or whose answer fails the check of :func:`oracle._proves_alpha`,
+    takes the multi-start descent of :func:`_descend_spectral`,
     whose best point is a local minimum only, so "radius below one" is
     then proven only by certifying I minus the combination. Raises
     DomainError for a negative entry or a budget below 1.
     """
-    mats = list(matrices)
-    n = _validate_family(mats)
+    mats = _family(matrices)
     if budget < 1:
         raise DomainError("budget must be at least 1")
     stack = np.stack([m.as_array() for m in mats])
-    for idx, (m, arr) in enumerate(zip(mats, stack)):
-        # exact signs from the numerators: -1/10^400 has the float view -0.0
-        if (min(map(min, m._num)) if m.is_exact else arr.min()) < 0:
+    for idx, m in enumerate(mats):
+        if not _is_nonnegative(m):
             raise DomainError(f"matrix {idx} has a negative entry")
     point = None
     if all(m.is_exact for m in mats):
-        eye = Matrix.identity(n, exact=True)
+        eye = Matrix.identity(mats[0].n, exact=True)
         found = instance_graph([eye - m for m in mats])
         if found is not None:
             try:
-                independent = max_independent_set(found[0]).witness
+                result = max_independent_set(found[0])
             except BudgetExceeded:
-                pass  # take the descent
-            else:
-                point = witness_from_independent_set(found[0], independent)
+                result = None  # take the descent
+            if result is not None and _proves_alpha(found[0], result):
+                point = witness_from_independent_set(found[0], result.witness)
     if point is None:
         tracker = _descend_spectral(stack, budget, seed, radius=True)
         point = SimplexPoint.from_floats(tracker.best_point)
@@ -728,8 +713,7 @@ def hurwitz_search(
     sit below -tolerance, and otherwise the answer is UNKNOWN. Raises
     DomainError for a budget below 1.
     """
-    mats = list(matrices)
-    _validate_family(mats)
+    mats = _family(matrices)
     if budget < 1:
         raise DomainError("budget must be at least 1")
     if all(m.is_exact for m in mats):

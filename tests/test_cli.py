@@ -209,8 +209,11 @@ class TestCombineCommand:
         "{not json", "[]", "[1]", '[{"n":2}]',
         '[{"n":2,"entries":[[1,2],[3]],"exact":false}]',
         '[{"n":1,"entries":[[1e5000]],"exact":false}]',
+        # 10^4300 is read, but its 4,301 digits are past the limit of str(int)
+        '[{"n":1,"entries":[["1e4300"]],"exact":true}]',
     ], ids=["invalid-json", "empty-list", "not-an-object", "no-entries",
-            "not-square", "exponent-past-the-digit-limit"])
+            "not-square", "exponent-past-the-digit-limit",
+            "output-past-the-digit-limit"])
     def test_exact_flag_malformed_family_exit_65(self, tmp_path, text):
         path = tmp_path / "family.json"
         path.write_text(text)

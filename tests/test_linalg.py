@@ -355,6 +355,46 @@ class TestLeadingMinorsBatch:
         assert minors.ravel() == pytest.approx([0.0, -1.0, 2.0, 3.0])
 
 
+# finite floats of any size; a sum past the float64 range is left out
+SUMMANDS = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+class TestMatrixSums:
+    @given(st.integers(1, 6).flatmap(lambda n: arrays(np.float64, (2, n, n),
+                                                      elements=SUMMANDS)))
+    @example(np.array([[[-0.0, 1.5]] * 2, [[0.0, -2.0]] * 2]))
+    def test_float_sums_are_numpy_bit_for_bit(self, pair):
+        # up to the sign of a zero: the sum is one tensordot, which writes
+        # every zero as +0.0, and x + 0.0 does the same to numpy's result
+        a, b = fl(pair[0]), fl(pair[1])
+        for got, want in ((a + b, np.add(*pair)), (a - b, np.subtract(*pair))):
+            assert got.backing is Backing.FLOAT64
+            assert got.as_array().tobytes() == (want + 0.0).tobytes()
+
+    def test_exact_and_float_give_float64(self):
+        a = exact([[Fraction(1, 3), -1], [0, 2]])
+        b = fl([[0.5, 0.25], [-1.0, 3.0]])
+        expected = a.as_array() + b.as_array()
+        for got in (a + b, b + a):
+            assert got.backing is Backing.FLOAT64
+            assert np.array_equal(got.as_array(), expected)
+        assert (a - b).backing is (b - a).backing is Backing.FLOAT64
+        assert np.array_equal((a - b).as_array(), a.as_array() - b.as_array())
+
+    @pytest.mark.parametrize("b", [exact([[1]]), fl([[1.0]])], ids=["exact", "float"])
+    def test_sizes_must_match(self, b):
+        a = exact([[1, 0], [0, 1]])
+        for op in (lambda: a + b, lambda: a - b, lambda: b - a):
+            with pytest.raises(DimensionMismatch):
+                op()
+
+    def test_only_matrices_are_added(self):
+        a = exact([[1]])
+        for op in (lambda: a + 1, lambda: 1 + a, lambda: a - Fraction(1)):
+            with pytest.raises(TypeError):
+                op()
+
+
 class TestSchurComplement:
     def test_two_by_two(self):
         comp = schur_complement(exact([[2, -1], [-1, 2]]), 1)

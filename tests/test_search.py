@@ -336,6 +336,15 @@ class TestGadgetCover:
         assert out.threshold_proof is None
         assert out == ascent_only(K3_J2, monkeypatch, budget=3000, seed=0)
 
+    def test_witness_that_fails_the_check_is_not_reported(self, monkeypatch):
+        # {0, 1} is an edge of K3: no point is made of it, and the family is
+        # left to the ascent
+        monkeypatch.setattr(mpoly.search, "decide_threshold",
+                            lambda g, j: ("witness", (0, 1)))
+        out = search_general(K3_J2, budget=3000, seed=0)
+        assert out.status is SearchStatus.UNKNOWN
+        assert out == ascent_only(K3_J2, monkeypatch, budget=3000, seed=0)
+
     def test_exhaustive_agreement_with_the_oracle(self):
         uncovered = []
         for g in corpus.small_graphs():
@@ -779,6 +788,24 @@ class TestMinimizeSpectralRadius:
         monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
         minimize_spectral_radius(parts, budget=500, seed=0)
         assert len(descents) == 3
+
+    # C5 has alpha 2: three cliques prove only alpha <= 3, {0, 1} is an edge,
+    # and {0} is independent but smaller than alpha
+    @pytest.mark.parametrize("bad", [{"proof": ((0, 1), (2, 3), (4,))},
+                                     {"witness": frozenset({0, 1})},
+                                     {"witness": frozenset({0})}],
+                             ids=["proof", "dependent-witness", "short-witness"])
+    def test_oracle_answer_that_fails_its_check_takes_the_descent(self, monkeypatch,
+                                                                  bad):
+        parts = nonneg_parts(corpus.cycle(5), 1)
+        real = mpoly.search.max_independent_set
+        descents = count_descents(monkeypatch)
+        monkeypatch.setattr(mpoly.search, "max_independent_set",
+                            lambda g: dataclasses.replace(real(g), **bad))
+        got = minimize_spectral_radius(parts, budget=500, seed=0)
+        assert len(descents) == 1
+        monkeypatch.setattr(mpoly.search, "max_independent_set", refuse_exact_set)
+        assert minimize_spectral_radius(parts, budget=500, seed=0) == got
 
     def test_exact_minimum_is_never_above_the_descent(self):
         for g in corpus.small_graphs(4):
