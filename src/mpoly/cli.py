@@ -71,12 +71,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse):
+    """parse(text) of the file `path`; its DomainError names the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -97,20 +102,12 @@ def _load_matrices(path: str, backing: str | None, single: bool = False) -> list
     --float converts every entry to float64. --exact reads every entry as
     the rational its text denotes, so 2.0 becomes 2 and 0.1 becomes 1/10.
     """
-    text = _read_text(path)
-    try:
+
+    def parse(text: str) -> list[Matrix]:
         mats = _read_matrices(text, single, exact=backing == "exact")
         return [m.to_float() for m in mats] if backing == "float" else mats
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
 
-
-def _load_graph(path: str):
-    text = _read_text(path)
-    try:
-        return parse_graph(text)
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
+    return _load(path, parse)
 
 
 def _emit(args, payload: dict, human_lines) -> None:
@@ -157,7 +154,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, parse_graph)
     if not 1 <= args.j <= graph.n:
         raise _UsageError(f"j must be in [1, {graph.n}], got {args.j}")
     instance = build_instance(graph, args.j)
@@ -174,7 +171,7 @@ def cmd_combine(args) -> int:
 
 
 def cmd_alpha(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, parse_graph)
     result = max_independent_set(graph, node_budget=args.node_budget)
     witness = sorted(v + 1 for v in result.witness)
     payload = {
@@ -196,7 +193,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_ms_solve(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, parse_graph)
     result = motzkin_straus_min(
         graph, restarts=args.restarts, iters=args.iters, seed=args.seed
     )
@@ -320,7 +317,7 @@ def run_pipeline(graph, j: int, budget: int = 50_000, seed: int = 0) -> dict:
 
 
 def cmd_pipeline(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, parse_graph)
     if not 1 <= args.j <= graph.n:
         raise _UsageError(f"j must be in [1, {graph.n}], got {args.j}")
     report = run_pipeline(graph, args.j, budget=args.budget, seed=args.seed)

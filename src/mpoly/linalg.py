@@ -89,18 +89,22 @@ class Matrix:
     positive common denominator ``_den``, so entry (i, j) is
     ``_num[i][j] / _den``. The grid is kept in lowest terms (the gcd of
     ``_den`` and every numerator is 1), so equal matrices have equal storage.
-    A float matrix stores a read-only float64 array.
+    A float matrix stores its own read-only float64 copy of its input.
     """
 
     __slots__ = ("n", "backing", "_num", "_den", "_array")
 
     def __init__(self, rows, backing: Backing):
-        rows = tuple(tuple(r) for r in rows)
+        if isinstance(rows, np.ndarray) and backing is Backing.FLOAT64:
+            if rows.ndim != 2:
+                raise DomainError("entry grid must be square")
+        else:
+            rows = tuple(tuple(r) for r in rows)
+            if any(len(r) != len(rows) for r in rows):
+                raise DomainError("entry grid must be square")
         n = len(rows)
         if n == 0:
             raise DomainError("matrices must have dimension at least 1")
-        if any(len(r) != n for r in rows):
-            raise DomainError("entry grid must be square")
         self.n = n
         self.backing = backing
         if backing is Backing.EXACT_RATIONAL:
@@ -114,9 +118,11 @@ class Matrix:
             self._array = None
         else:
             try:
-                arr = np.array(rows, dtype=np.float64)
+                arr = np.array(rows, dtype=np.float64)  # a copy, never a view
             except OverflowError as exc:
                 raise DomainError("float entry beyond the float64 range") from exc
+            if arr.shape != (n, n):  # entries that are themselves grids
+                raise DomainError("entry grid must be square")
             if not np.all(np.isfinite(arr)):
                 raise DomainError("float matrix entries must be finite")
             arr.flags.writeable = False
@@ -173,7 +179,7 @@ class Matrix:
         if self.is_exact:
             den = self._den
             return tuple(tuple(Fraction(x, den) for x in r) for r in self._num)
-        return tuple(tuple(float(x) for x in row) for row in self._array)
+        return tuple(map(tuple, self._array.tolist()))
 
     def entry(self, i: int, j: int):
         if self.is_exact:
@@ -183,16 +189,12 @@ class Matrix:
     def as_array(self) -> np.ndarray:
         """Float64 ndarray of the entries (read-only for float backing).
 
-        Exact entries are correctly rounded, as ``float(Fraction)`` rounds them;
-        an exact entry beyond the float64 range raises DomainError.
+        Each exact entry is one correctly rounded int division, as in
+        ``float(Fraction)``; an entry beyond the float64 range raises DomainError.
         """
         if not self.is_exact:
             return self._array
         num, den = self._num, self._den
-        limit = 1 << 53
-        if den < limit and all(-limit < x < limit for r in num for x in r):
-            # both operands are exact doubles, and IEEE division rounds correctly
-            return np.array(num, dtype=np.float64) / den
         try:
             return np.array([[x / den for x in r] for r in num], dtype=np.float64)
         except OverflowError as exc:
@@ -254,7 +256,7 @@ class Matrix:
                 limit = sys.get_int_max_str_digits()
                 raise DomainError(f"exact entry longer than {limit} digits") from exc
         else:
-            entries = [[float(x) for x in row] for row in self._array]
+            entries = self._array.tolist()
         return {"n": self.n, "entries": entries, "exact": self.is_exact}
 
     @classmethod
@@ -612,7 +614,7 @@ def spectral_radius(m: Matrix) -> float:
 
 
 def collatz_wielandt_ratio(n_mat: Matrix, x: Sequence[float]) -> float:
-    """max_i (N x)_i / x_i for entrywise nonnegative N and positive x.
+    """max_i (N x)_i / x_i for entrywise nonnegative N and positive finite x.
 
     Upper-bounds the spectral radius of N for every positive x.
     """
@@ -622,8 +624,8 @@ def collatz_wielandt_ratio(n_mat: Matrix, x: Sequence[float]) -> float:
     vec = np.asarray([float(v) for v in x], dtype=np.float64)
     if vec.shape != (n_mat.n,):
         raise DimensionMismatch(f"vector length {vec.size} != dimension {n_mat.n}")
-    if bool((vec <= 0).any()):
-        raise DomainError("vector must be entrywise positive")
+    if not (np.isfinite(vec) & (vec > 0)).all():
+        raise DomainError("vector must be entrywise positive and finite")
     return float(np.max((arr @ vec) / vec))
 
 

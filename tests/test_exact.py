@@ -112,6 +112,12 @@ class TestRepresentation:
         assert again.rows() == m.rows()
 
     @given(grids(WIDE))
+    # numerators 2^53 - 1 and 2^53 + 1 over a denominator of 3
+    @example([[Fraction(2**53 + 1, 3), Fraction(2**53 - 1, 3)],
+              [Fraction(-(2**53 + 1), 3), 1]])
+    # denominators on both sides of 2^53
+    @example([[Fraction(1, 2**53 + 1), Fraction(2**53, 2**53 + 1)], [0, -1]])
+    @example([[Fraction(1, 2**53 - 1), Fraction(2**52, 2**53 - 1)], [0, -1]])
     def test_entries_and_float_view_match_fractions(self, rows):
         m = Matrix.exact(rows)
         assert m.rows() == tuple(tuple(r) for r in rows)

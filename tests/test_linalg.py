@@ -1,5 +1,6 @@
 """Matrix primitives: determinants, minors, Schur complements, eigenvalues."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -79,9 +80,19 @@ class TestConstruction:
         assert det(exact([[5]])) == 5
         assert det(fl([[5.0]])) == pytest.approx(5.0)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(DomainError):
-            Matrix.float64([[1.0, 2.0]])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[1.0, 2.0]],
+            np.zeros((2, 2, 2)),
+            [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+            np.zeros(3),
+        ],
+        ids=["one-row", "array-three-deep", "lists-three-deep", "array-one-deep"],
+    )
+    def test_non_square_rejected(self, grid):
+        with pytest.raises(DomainError, match="entry grid must be square"):
+            Matrix.float64(grid)
 
     def test_float_entries_never_promote_to_exact(self):
         with pytest.raises(DomainError):
@@ -98,6 +109,43 @@ class TestConstruction:
     def test_nonfinite_floats_rejected(self):
         with pytest.raises(DomainError):
             Matrix.float64([[float("nan")]])
+
+
+# finite float64 grids; the sign of zero, subnormals and the ends of the
+# range are drawn often
+FINITE = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.0**-1030, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+FINITE_GRIDS = st.integers(1, 6).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=FINITE)
+)
+
+
+class TestFloatConversion:
+    @given(FINITE_GRIDS)
+    def test_array_and_list_inputs_agree_bit_for_bit(self, a):
+        m = Matrix.float64(a)
+        assert m == Matrix.float64(a.tolist())
+        assert m.as_array().tobytes() == a.tobytes()
+
+    def test_the_matrix_keeps_its_own_read_only_copy(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = Matrix.float64(a)
+        assert a.flags.writeable
+        a[0, 0] = 9.0
+        assert m.entry(0, 0) == 1.0
+        assert not m.as_array().flags.writeable
+        with pytest.raises(ValueError):
+            m.as_array()[0, 0] = 9.0
+
+    def test_python_views_keep_the_sign_of_zero(self):
+        m = fl(np.array([[-0.0, 0.0], [1.5, -0.0]]))
+        for view in (m.rows(), m.to_json_dict()["entries"]):
+            assert all(type(x) is float for r in view for x in r)
+            signs = [[math.copysign(1.0, x) for x in r] for r in view]
+            assert signs == [[-1.0, 1.0], [1.0, -1.0]]
+        assert m.dumps() == '{"entries":[[-0.0,0.0],[1.5,-0.0]],"exact":false,"n":2}'
 
 
 class TestDet:
@@ -530,6 +578,10 @@ class TestCollatzWielandt:
             collatz_wielandt_ratio(fl([[0, -1], [1, 0]]), (1, 1))
         with pytest.raises(DomainError):
             collatz_wielandt_ratio(fl([[0, 1], [1, 0]]), (1, 0))
+        # an upper bound on rho(N) needs a finite positive vector
+        for x in ((float("nan"), 1), (float("inf"), 1)):
+            with pytest.raises(DomainError):
+                collatz_wielandt_ratio(fl([[1, 2], [0.5, 1]]), x)
         with pytest.raises(DimensionMismatch):
             collatz_wielandt_ratio(fl([[0, 1], [1, 0]]), (1, 1, 1))
 
